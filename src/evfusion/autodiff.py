@@ -2,13 +2,14 @@
 
 Tensors wrap row-major float64 numpy arrays. Every differentiable
 operation records its parents and a backward closure on the output,
-forming an acyclic define-by-run tape. ``backward`` walks the tape in
-reverse topological order exactly once per node and accumulates
-gradients into ``Tensor.grad``.
+forming an acyclic define-by-run tape, except inside ``no_grad``.
+``backward`` walks the tape in reverse topological order exactly once per
+node and accumulates gradients into ``Tensor.grad`` of the leaves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Callable, Sequence
@@ -27,6 +28,20 @@ _INJECT_BACKWARD_FAULT = False
 def set_backward_fault(enabled: bool) -> None:
     global _INJECT_BACKWARD_FAULT
     _INJECT_BACKWARD_FAULT = enabled
+
+
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block, so inference frees as it goes."""
+    global _GRAD_ENABLED
+    previous, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class Tensor:
@@ -72,7 +87,7 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -135,11 +150,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0
@@ -153,12 +163,12 @@ def gelu(a: Tensor) -> Tensor:
     """Tanh-form GELU approximation."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
         return (g * dx,)
 
@@ -261,36 +271,6 @@ def split_rows(a: Tensor, n_first: int) -> tuple[Tensor, Tensor]:
     return slice_rows(a, 0, n_first), slice_rows(a, n_first, a.shape[0])
 
 
-def concat_cols(*parts: Tensor) -> Tensor:
-    parts = tuple(_as_tensor(p) for p in parts)
-    height = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != height:
-            raise DimensionError(
-                f"concat_cols: heights differ: {p.shape[0]} vs {height}")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def backward(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _make(data, parts, backward)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ContractError(f"slice_cols: bad range [{start}:{stop}) for {a.shape}")
-    data = a.data[:, start:stop].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _make(data, (a,), backward)
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over the row axis; (m, n) -> (1, n)."""
     a = _as_tensor(a)
@@ -332,27 +312,44 @@ def take_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     return _make(data, (table,), backward)
 
 
-# ---------------------------------------------------------------------------
-# composites
-# ---------------------------------------------------------------------------
-
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
                          weights_sink: list | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(width)) v, composed from the primitives above.
+    """Multi-head softmax(q k^T / sqrt(width / heads)) v as one tape node.
 
-    When weights_sink is a list, the row-stochastic attention-weight
-    Tensor is appended to it (used by invariant checks).
+    Head h reads the h-th equal share of the columns of q, k and v and
+    writes that share of the output's columns. When weights_sink is a list,
+    each head's row-stochastic weights are appended to it as a Tensor.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(f"attention: q/k widths differ: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(f"attention: k/v heights differ: {k.shape} vs {v.shape}")
-    logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    weights = softmax_rows(logits)
+    (tk, dv), d = v.shape, q.shape[1]
+    if k.shape != (tk, d) or heads < 1 or d % heads or dv % heads:
+        raise DimensionError(
+            f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not fit {heads} heads")
+
+    def split(x):  # (T, heads * w) -> (heads, T, w), a view
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def merge(x):  # (heads, T, w) -> (T, heads * w)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    c = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    logits = (qh @ kh.transpose(0, 2, 1)) * c
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("attention: non-finite logits")
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
     if weights_sink is not None:
-        weights_sink.append(weights)
-    return matmul(weights, v)
+        weights_sink.extend(Tensor(w) for w in p)
+
+    def backward(g):
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 2, 1)
+        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
+        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
+                merge(p.transpose(0, 2, 1) @ gh))
+
+    return _make(merge(p @ vh), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +359,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor,
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse-sweep from a scalar loss.
 
-    Accumulates into .grad of every requires_grad tensor reachable from
-    the loss and returns {node_id: gradient}. Repeated calls without
-    zero_grad accumulate.
+    Accumulates into .grad of every leaf (requires_grad tensor with no
+    backward rule) reachable from the loss and returns {node_id: gradient}
+    for those leaves. Each intermediate gradient is dropped once it has
+    been passed on. Repeated calls without zero_grad accumulate.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -390,9 +388,9 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for node in reversed(order):
-        g = grads.get(node.node_id)
-        if g is None or node._backward is None:
+        if node._backward is None or node.node_id not in grads:
             continue
+        g = grads.pop(node.node_id)
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):
             if pg is None or not parent.requires_grad:
@@ -402,6 +400,7 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
             else:
                 grads[parent.node_id] = pg
 
+    # only leaf gradients are left in grads
     for node in order:
         g = grads.get(node.node_id)
         if g is None:

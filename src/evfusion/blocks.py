@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .params import ParamStore
 
 INIT_STD = 0.02
@@ -44,21 +44,11 @@ def init_attention(store: ParamStore, prefix: str, dim: int,
 def multi_head_attention(store: ParamStore, prefix: str, x: Tensor, heads: int,
                          weights_sink: list | None = None) -> Tensor:
     """Self-attention over one token sequence; heads split the width."""
-    dim = x.shape[1]
-    if dim % heads != 0:
-        raise DimensionError(f"dim {dim} not divisible by heads {heads}")
     q = linear(store, f"{prefix}.wq", x)
     k = linear(store, f"{prefix}.wk", x)
     v = linear(store, f"{prefix}.wv", x)
-    hd = dim // heads
-    outs = []
-    for h in range(heads):
-        lo, hi = h * hd, (h + 1) * hd
-        outs.append(ad.scaled_dot_attention(
-            ad.slice_cols(q, lo, hi), ad.slice_cols(k, lo, hi),
-            ad.slice_cols(v, lo, hi), weights_sink=weights_sink))
-    merged = outs[0] if heads == 1 else ad.concat_cols(*outs)
-    return linear(store, f"{prefix}.wo", merged)
+    attended = ad.scaled_dot_attention(q, k, v, heads, weights_sink=weights_sink)
+    return linear(store, f"{prefix}.wo", attended)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:

@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data_files
 from .config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                      SWEEP_TEMPLATES, RunConfig, config_to_dict, load_config,
                      make_datasets)
-from .errors import ConfigError
+from .errors import ConfigError, ParseError, ValidationError
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
 from .trainer import evaluate, train
@@ -207,6 +208,7 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK
 
 
+@ad.no_grad()
 def cmd_dump_embeddings(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
+    except (OSError, ParseError, ValidationError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 

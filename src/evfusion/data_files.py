@@ -5,6 +5,7 @@ dataset manifest."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +24,23 @@ def write_ppm(frame: np.ndarray, path: str | Path) -> None:
         fh.write(data.tobytes())
 
 
+# P6 width height maxval, parted by whitespace and "#" comment lines, then one whitespace byte
+_GAP = rb"(?:\s|#[^\n]*\n)+"
+_PPM_HEADER = re.compile(rb"P6" + (_GAP + rb"(\d+)") * 3 + rb"\s")
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
-        raise ParseError(f"{path}: not a binary PPM")
-    w, h = (int(v) for v in parts[1].split())
-    if parts[2] != b"255":
+    header = _PPM_HEADER.match(raw)
+    if header is None:
+        raise ParseError(f"{path}: not a binary PPM, or a malformed header")
+    w, h, maxval = (int(f) for f in header.groups())
+    if maxval != 255:
         raise ParseError(f"{path}: only 8-bit PPM supported")
-    pixels = np.frombuffer(parts[3][:w * h * 3], dtype=np.uint8)
-    if pixels.size != w * h * 3:
-        raise ParseError(f"{path}: truncated pixel data")
+    n = w * h * 3
+    pixels = np.frombuffer(raw[header.end():header.end() + n], dtype=np.uint8)
+    if n == 0 or pixels.size != n:
+        raise ParseError(f"{path}: empty or truncated pixel data")
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
 

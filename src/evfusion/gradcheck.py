@@ -46,8 +46,6 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
         lambda: _weighted_sum(ad.mul(x, y), w), [x, y], PRIMITIVE_EPS)
     results["scale"] = finite_diff_check(
         lambda: _weighted_sum(ad.scale(x, -1.7), w), [x], PRIMITIVE_EPS)
-    results["transpose"] = finite_diff_check(
-        lambda: _weighted_sum(ad.transpose(x), w.T), [x], PRIMITIVE_EPS)
 
     row = Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
     results["add_row_broadcast"] = finite_diff_check(
@@ -77,12 +75,6 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
         lambda: _weighted_sum(ad.concat_rows(x, y), w6), [x, y], PRIMITIVE_EPS)
     results["slice_rows"] = finite_diff_check(
         lambda: _weighted_sum(ad.slice_rows(x, 1, 3), w[:2]), [x], PRIMITIVE_EPS)
-    w8 = rng.uniform(-1, 1, (3, 8))
-    results["concat_cols"] = finite_diff_check(
-        lambda: _weighted_sum(ad.concat_cols(x, y), w8), [x, y], PRIMITIVE_EPS)
-    results["slice_cols"] = finite_diff_check(
-        lambda: _weighted_sum(ad.slice_cols(x, 1, 3), w[:, :2].copy()),
-        [x], PRIMITIVE_EPS)
 
     results["mean_rows"] = finite_diff_check(
         lambda: _weighted_sum(ad.mean_rows(x), w[:1]), [x], PRIMITIVE_EPS)
@@ -99,6 +91,11 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     results["scaled_dot_attention"] = finite_diff_check(
         lambda: _weighted_sum(ad.scaled_dot_attention(q, k, v), wq),
         [q, k, v], PRIMITIVE_EPS)
+    q4, k4, v4 = _rand(rng, 3, 8), _rand(rng, 5, 8), _rand(rng, 5, 12)
+    w4 = rng.uniform(-1, 1, (3, 12))
+    results["scaled_dot_attention_4_heads"] = finite_diff_check(
+        lambda: _weighted_sum(ad.scaled_dot_attention(q4, k4, v4, heads=4), w4),
+        [q4, k4, v4], PRIMITIVE_EPS)
     return results
 
 

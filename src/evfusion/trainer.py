@@ -101,6 +101,7 @@ def cosine_lr(step: int, total_steps: int, cfg: OptimConfig) -> float:
     return floor + (cfg.base_lr - floor) * (1 + math.cos(math.pi * step / total_steps)) / 2
 
 
+@ad.no_grad()
 def _cache_encodings(model: Model, dataset: list[Sample]) -> list[tuple[np.ndarray, np.ndarray]]:
     cached = []
     for s in dataset:
@@ -192,6 +193,7 @@ def topk_hit(logits: np.ndarray, target: int, k: int) -> bool:
     return target in order[:k]
 
 
+@ad.no_grad()
 def evaluate(dataset: list[Sample], model: Model,
              switches: AblationSwitches | None = None) -> dict:
     """Top-1/top-5 accuracy, per-class accuracy, confusion counts, and

@@ -243,3 +243,117 @@ def test_gelu_matches_tanh_formula():
     expected = 0.5 * x * (1 + np.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x**3)))
     out = ad.gelu(Tensor(x.reshape(1, -1)))
     assert np.allclose(out.data.reshape(-1), expected, atol=1e-15)
+
+
+def _per_head_attention_oracle(q, k, v, heads):
+    """Plain-numpy multi-head attention: slice columns per head, softmax,
+    weight the values, concatenate the heads."""
+    hd, hv = q.shape[1] // heads, v.shape[1] // heads
+    outs, weights = [], []
+    for h in range(heads):
+        qh, kh = q[:, h * hd:(h + 1) * hd], k[:, h * hd:(h + 1) * hd]
+        logits = qh @ kh.T / math.sqrt(hd)
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        weights.append(w)
+        outs.append(w @ v[:, h * hv:(h + 1) * hv])
+    return np.concatenate(outs, axis=1), weights
+
+
+@pytest.mark.parametrize("heads,tq,tk,d,dv", [(1, 3, 5, 4, 6), (2, 4, 4, 8, 8),
+                                             (4, 5, 7, 8, 12), (8, 2, 9, 16, 8)])
+def test_multi_head_attention_matches_per_head_oracle(heads, tq, tk, d, dv):
+    rng = np.random.default_rng(heads)
+    q = rng.normal(scale=2.0, size=(tq, d))
+    k = rng.normal(scale=2.0, size=(tk, d))
+    v = rng.normal(size=(tk, dv))
+    expected, expected_weights = _per_head_attention_oracle(q, k, v, heads)
+    sink = []
+    out = ad.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), heads,
+                                  weights_sink=sink)
+    assert out.shape == (tq, dv)
+    assert np.max(np.abs(out.data - expected)) < 1e-12
+    assert len(sink) == heads
+    for w, want in zip(sink, expected_weights):
+        assert isinstance(w, Tensor) and w.shape == (tq, tk)
+        assert np.max(np.abs(w.data - want)) < 1e-12
+
+
+def test_multi_head_attention_is_one_tape_node():
+    q, k, v = (Tensor(np.ones((3, 8)), requires_grad=True) for _ in range(3))
+    out = ad.scaled_dot_attention(q, k, v, heads=4)
+    assert out._parents == (q, k, v)
+    assert all(p._backward is None for p in out._parents)
+
+
+def test_attention_heads_must_divide_widths():
+    x = Tensor(np.ones((2, 6)))
+    with pytest.raises(DimensionError):
+        ad.scaled_dot_attention(x, x, x, heads=4)
+    with pytest.raises(DimensionError):
+        ad.scaled_dot_attention(x, x, Tensor(np.ones((2, 4))), heads=3)
+    with pytest.raises(DimensionError):
+        ad.scaled_dot_attention(x, x, x, heads=0)
+
+
+def test_primitive_checks_cover_multi_head_attention():
+    from evfusion.gradcheck import primitive_checks, PRIMITIVE_TOL
+    results = primitive_checks(seed=5)
+    assert results["scaled_dot_attention"] < PRIMITIVE_TOL
+    assert results["scaled_dot_attention_4_heads"] < PRIMITIVE_TOL
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
+    w = Tensor([[0.5], [1.0], [-1.5]], requires_grad=True)
+    const = Tensor([[2.0, 2.0, 2.0]])
+    h = ad.mul(x, const)
+    y = ad.matmul(h, w)
+    loss = ad.sum_all(ad.mul(y, y))
+    grads = backward(loss)
+    # y = 2 x.w = -12, so dloss/dy = 2y = -24
+    assert np.array_equal(x.grad, -24.0 * 2.0 * w.data.T)
+    assert np.array_equal(w.grad, -24.0 * h.data.T)
+    assert h.grad is None and y.grad is None and loss.grad is None
+    assert const.grad is None
+    assert set(grads) == {x.node_id, w.node_id}
+    assert np.array_equal(grads[x.node_id], x.grad)
+
+
+def test_backward_on_model_tape_fills_leaves_only():
+    from evfusion import blocks
+    from evfusion.params import ParamStore
+    store = ParamStore()
+    rng = np.random.default_rng(0)
+    blocks.init_transformer_block(store, "b", 8, 2.0, rng)
+    x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    out = blocks.transformer_block(store, "b", x, 4)
+    loss = ad.sum_all(ad.mul(out, out))
+    backward(loss)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.node_id not in nodes:
+            nodes[node.node_id] = node
+            stack.extend(node._parents)
+    inner = [n for n in nodes.values() if n._backward is not None]
+    leaves = [n for n in nodes.values() if n._backward is None and n.requires_grad]
+    assert len(inner) > 10 and all(n.grad is None for n in inner)
+    assert {n.node_id for n in leaves} == {x.node_id} | {t.node_id for t in store.tensors()}
+    assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+
+
+def test_no_grad_records_no_tape_and_restores_recording():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with ad.no_grad():
+        out = ad.scaled_dot_attention(ad.matmul(w, w), w, w, heads=2)
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        with ad.no_grad():
+            pass
+        assert ad.matmul(w, w)._parents == ()
+    with pytest.raises(ContractError):
+        with ad.no_grad():
+            raise ContractError("boom")
+    recorded = ad.matmul(w, w)
+    assert recorded._parents == (w, w) and recorded.requires_grad

@@ -7,7 +7,7 @@ from evfusion import cli, data_files
 from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                              SWEEP_TEMPLATES, classes_from_labels,
                              config_to_dict, load_config, make_datasets)
-from evfusion.errors import ConfigError
+from evfusion.errors import ConfigError, ParseError, ValidationError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.params import ParamStore
 
@@ -205,6 +205,41 @@ def test_ppm_roundtrip(tmp_path):
     assert np.max(np.abs(back - frame)) <= 1.0 / 255.0 + 1e-12
 
 
+PIXELS = bytes([0, 128, 255, 10, 32, 35])  # holds the bytes of "\n", " " and "#"
+
+
+@pytest.mark.parametrize("header", [
+    b"P6\n# written by hand\n2 1\n255\n",
+    b"P6 2 1 255 ",
+    b"P6\t2\r\n1 # height\n# maxval next\n255\n",
+])
+def test_read_ppm_accepts_comments_and_any_whitespace(tmp_path, header):
+    path = tmp_path / "f.ppm"
+    path.write_bytes(header + PIXELS)
+    back = data_files.read_ppm(path)
+    assert back.shape == (1, 2, 3)
+    assert np.array_equal(np.round(back * 255).reshape(-1), list(PIXELS))
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    b"P6\n2 1\n",
+    b"P6\n# comment without end",
+    b"P3\n2 1\n255\n" + PIXELS,
+    b"P6\n2 x\n255\n" + PIXELS,
+    b"P6\n-2 1\n255\n" + PIXELS,
+    b"P6\n2 1\n255" + PIXELS,
+    b"P6\n2 1\n65535\n" + PIXELS,
+    b"P6\n0 1\n255\n",
+    b"P6\n2 1\n255\n" + PIXELS[:5],
+])
+def test_read_ppm_malformed_raises_parse_error(tmp_path, content):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        data_files.read_ppm(path)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
 def test_dataset_roundtrip(tmp_path, fmt):
     samples, labels = desk_samples()
@@ -277,3 +312,16 @@ def test_cli_dump_embeddings(tmp_path):
     rows = (out / "embeddings_train.csv").read_text().splitlines()
     assert rows[0].startswith("sample_id,label,f0")
     assert len(rows) == 1 + 4  # header + train samples
+
+
+@pytest.mark.parametrize("error", [ParseError, ValidationError])
+def test_cli_maps_parse_and_validation_errors_to_io_exit(tmp_path, capsys,
+                                                        monkeypatch, error):
+    def fail(cfg):
+        raise error("bad input file")
+
+    monkeypatch.setattr(cli, "make_datasets", fail)
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
+    assert run_cli(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["io error: bad input file"]

@@ -260,3 +260,10 @@ def test_train_stop_at_perfect_train():
 def test_train_empty_dataset_rejected():
     with pytest.raises(ContractError):
         train([], tiny_model(), OptimConfig(epochs=1))
+
+
+def test_evaluate_identical_with_and_without_no_grad():
+    model = tiny_model(seed=4)
+    data = tiny_dataset(samples_per_class=1)
+    recorded = evaluate.__wrapped__(data, model)  # evaluate without no_grad
+    assert recorded == evaluate(data, model)
