@@ -177,7 +177,6 @@ def load_config(path: str | Path | None = None,
     if "labels_file" in data_raw:
         labels = [ln for ln in Path(data_raw.pop("labels_file"))
                   .read_text().splitlines() if ln.strip()]
-        data_raw["classes"] = None
         classes = classes_from_labels(labels)
     else:
         classes = _parse_classes(data_raw.pop("classes", DEFAULT_CLASSES))

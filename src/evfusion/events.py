@@ -7,7 +7,6 @@ by timestamp (stable in input order on ties).
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,36 +76,47 @@ class EventFrameSequence:
 # file formats
 # ---------------------------------------------------------------------------
 
+def _event_rows(lines: list[str]) -> np.ndarray | None:
+    """The lines as an (n, 4) int64 array; None unless every nonblank line
+    is four comma-separated integers."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 4 else None
+
+
 def parse_events_csv(path: str | Path, resolution: tuple[int, int]) -> EventStream:
+    """Read an `x,y,t,p` header, then one row of four plain integers per
+    event; blank lines are skipped and fields are not quoted."""
     path = Path(path)
-    xs, ys, ts, ps = [], [], [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y", "t", "p"]:
-            raise ParseError(f"{path}: expected header x,y,t,p, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                x, y, t, p = (int(v) for v in row)
-            except (ValueError, TypeError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            if p not in (0, 1):
-                raise ParseError(f"{path}:{lineno}: polarity must be 0 or 1")
-            xs.append(x); ys.append(y); ts.append(t); ps.append(p)
-    stream = EventStream(resolution,
-                         np.asarray(xs, np.int64), np.asarray(ys, np.int64),
-                         np.asarray(ts, np.int64), np.asarray(ps, np.int64))
+    try:
+        # ASCII only: numpy's integer parser misreads, even crashes on, some
+        # non-ASCII characters
+        with path.open(encoding="ascii") as fh:  # universal newlines
+            header, *lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text ({exc.reason})") from exc
+    if header != "x,y,t,p":
+        raise ParseError(f"{path}: expected header x,y,t,p, got {header!r}")
+    # loadtxt warns on input with no rows
+    rows = _event_rows(lines) if any(lines) else np.zeros((0, 4), np.int64)
+    if rows is None:
+        lineno, line = next((n, ln) for n, ln in enumerate(lines, start=2)
+                            if ln and _event_rows([ln]) is None)
+        raise ParseError(f"{path}:{lineno}: malformed row {line!r}")
+    bad = np.flatnonzero((rows[:, 3] != 0) & (rows[:, 3] != 1))
+    if bad.size:
+        lineno = [n for n, ln in enumerate(lines, start=2) if ln][bad[0]]
+        raise ParseError(f"{path}:{lineno}: polarity must be 0 or 1")
+    stream = EventStream(resolution, *rows.T)
     return stream.sorted_by_time().validate()
 
 
 def write_events_csv(stream: EventStream, path: str | Path) -> None:
+    values = np.column_stack((stream.x, stream.y, stream.t, stream.p)).ravel().tolist()
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "t", "p"])
-        for x, y, t, p in zip(stream.x, stream.y, stream.t, stream.p):
-            writer.writerow([int(x), int(y), int(t), int(p)])
+        fh.write("x,y,t,p\r\n" + ("%d,%d,%d,%d\r\n" * len(stream)) % tuple(values))
 
 
 def parse_events_binary(path: str | Path) -> EventStream:
@@ -214,29 +224,24 @@ def simulate_dvs(clip: VideoClip, threshold: float) -> EventStream:
     if len(clip) < 2:
         raise ContractError("simulate_dvs needs at least 2 frames")
     h, w = clip.frames[0].shape[:2]
-    xs, ys, ts, ps = [], [], [], []
+    parts = []
     prev_log = _log_luminance(clip.frames[0])
     for i in range(1, len(clip)):
         cur_log = _log_luminance(clip.frames[i])
         delta = cur_log - prev_log
         n = _event_count_for_delta(delta, threshold)
         yy, xx = np.nonzero(n)
+        cnt = n[yy, xx]
+        d = delta[yy, xx]
+        # one entry per event, pixels in row-major order; k counts 1..cnt
+        pix = np.repeat(np.arange(cnt.size), cnt)
+        k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         t0, t1 = clip.timestamps[i - 1], clip.timestamps[i]
-        for y, x in zip(yy, xx):
-            cnt = n[y, x]
-            d = delta[y, x]
-            pol = ON if d > 0 else OFF
-            frac = np.arange(1, cnt + 1) * threshold / abs(d)
-            stamps = (t0 + frac * (t1 - t0)).astype(np.int64)
-            xs.append(np.full(cnt, x, np.int64))
-            ys.append(np.full(cnt, y, np.int64))
-            ts.append(stamps)
-            ps.append(np.full(cnt, pol, np.int64))
+        frac = k * threshold / np.abs(d)[pix]
+        parts.append((xx[pix], yy[pix], (t0 + frac * (t1 - t0)).astype(np.int64),
+                      np.where(d > 0, ON, OFF)[pix]))
         prev_log = cur_log
-    if not xs:
-        return EventStream((w, h))
-    stream = EventStream((w, h), np.concatenate(xs), np.concatenate(ys),
-                         np.concatenate(ts), np.concatenate(ps))
+    stream = EventStream((w, h), *(np.concatenate(c) for c in zip(*parts)))
     return stream.sorted_by_time()
 
 

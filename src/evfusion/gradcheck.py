@@ -7,10 +7,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
-from .config import RunConfig, make_datasets
-from .encoders import EncoderConfig
-from .fusion import AblationSwitches, FusionConfig, Model, ModelConfig
-from .text import PromptTemplate, TextConfig
+from .config import load_config, make_datasets
+from .fusion import AblationSwitches, Model
 from .trainer import cross_entropy
 
 PRIMITIVE_EPS = 1e-5
@@ -99,29 +97,12 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def gradcheck_model_config() -> ModelConfig:
-    """Small but fully featured config so end-to-end checks stay fast."""
-    enc = dict(image_size=16, patch_size=8, dim=32, depth=1, heads=4,
-               mlp_ratio=2.0)
-    return ModelConfig(
-        rgb=EncoderConfig(frozen=True, **enc),
-        event=EncoderConfig(frozen=True, **enc),
-        text=TextConfig(dim=32, depth=1, heads=4, mlp_ratio=2.0, max_len=8),
-        fusion=FusionConfig(dim=32, depth=1, heads=4, mlp_ratio=2.0),
-        labels=["square moving right", "square moving left",
-                "disc moving up", "disc moving down"],
-        template=PromptTemplate("The action of the human is {}"),
-    )
-
-
 def end_to_end_check(seed: int = 0, n_params: int = 32,
                      coords_per_param: int = 2) -> tuple[float, list[str]]:
     """Finite-difference check of the full model loss on sampled
     parameters spanning every sub-network.
 
     Returns (max relative error, names of the checked parameters)."""
-    from .config import load_config
-
     cfg = load_config(None, {
         "data.samples_per_class": 1,
         "data.frames": 2,

@@ -110,6 +110,34 @@ def _cache_encodings(model: Model, dataset: list[Sample]) -> list[tuple[np.ndarr
     return cached
 
 
+def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
+                cache: list[tuple[np.ndarray, np.ndarray]] | None,
+                switches: AblationSwitches, state: TrainState, lr: float,
+                cfg: OptimConfig) -> tuple[list[float], int]:
+    """One optimizer step on dataset[idx]: per-sample losses and correct
+    count. The step's tape is freed on return, before the next forward."""
+    model.store.zero_grad()
+    ft = model.text_tokens(switches)
+    losses, hits = [], 0
+    for i in idx:
+        sample = dataset[i]
+        if cache is not None:
+            fv, fe = Tensor(cache[i][0]), Tensor(cache[i][1])
+        else:
+            fv, fe = model.encode_sample(sample)
+        logits, _ = model.head(fv, fe, ft, switches)
+        losses.append(cross_entropy(logits, sample.label))
+        if int(np.argmax(logits.data)) == sample.label:
+            hits += 1
+    batch_loss = losses[0]
+    for extra in losses[1:]:
+        batch_loss = ad.add(batch_loss, extra)
+    batch_loss = ad.scale(batch_loss, 1.0 / len(losses))
+    ad.backward(batch_loss)
+    adamw_step(model, state, lr, cfg)
+    return [float(loss.data[0, 0]) for loss in losses], hits
+
+
 def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
           switches: AblationSwitches | None = None,
           eval_dataset: list[Sample] | None = None,
@@ -145,26 +173,10 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
         for b in range(steps_per_epoch):
             idx = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr = cosine_lr(state.step, total_steps, cfg)
-            model.store.zero_grad()
-            ft = model.text_tokens(switches)
-            losses = []
-            for i in idx:
-                sample = dataset[i]
-                if cache is not None:
-                    fv, fe = Tensor(cache[i][0]), Tensor(cache[i][1])
-                else:
-                    fv, fe = model.encode_sample(sample)
-                logits, _ = model.head(fv, fe, ft, switches)
-                losses.append(cross_entropy(logits, sample.label))
-                epoch_losses.append(float(losses[-1].data[0, 0]))
-                if int(np.argmax(logits.data)) == sample.label:
-                    hits += 1
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = ad.add(batch_loss, extra)
-            batch_loss = ad.scale(batch_loss, 1.0 / len(losses))
-            ad.backward(batch_loss)
-            adamw_step(model, state, lr, cfg)
+            step_losses, step_hits = _train_step(model, dataset, idx, cache,
+                                                 switches, state, lr, cfg)
+            epoch_losses += step_losses
+            hits += step_hits
 
         train_top1 = hits / n
         record = {

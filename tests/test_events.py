@@ -1,7 +1,12 @@
+import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfusion.errors import ContractError, ParseError, ValidationError
 from evfusion.events import (EventStream, MotionClass, SynthSpec, VideoClip,
@@ -106,6 +111,109 @@ def test_parse_events_dispatch(tmp_path):
     assert len(parse_events(path, "csv", (4, 4))) == 1
     with pytest.raises(ContractError):
         parse_events(path, "aedat")
+
+
+def test_parse_csv_malformed_row_after_blank_line_reports_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,t,p\n1,2,3,1\n\n\n2,2,4,0\n1,x,5,1\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:6: malformed row"):
+        parse_events_csv(path, (8, 8))
+
+
+@pytest.mark.parametrize("row", ["1,2,3", "1,2,3,1,5"])
+@pytest.mark.parametrize("first", [True, False])
+def test_parse_csv_wrong_field_count(tmp_path, row, first):
+    path = tmp_path / "bad.csv"
+    body = [row, "1,2,3,1"] if first else ["1,2,3,1", row]
+    path.write_text("x,y,t,p\n" + "\n".join(body) + "\n")
+    with pytest.raises(ParseError, match=f":{2 if first else 3}: malformed"):
+        parse_events_csv(path, (8, 8))
+
+
+def test_parse_csv_all_rows_three_fields(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,t,p\n1,2,3\n1,2,4\n")
+    with pytest.raises(ParseError, match=":2: malformed"):
+        parse_events_csv(path, (8, 8))
+
+
+def test_parse_csv_polarity_two_reports_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,t,p\n1,2,3,1\n\n1,2,4,2\n")
+    with pytest.raises(ParseError, match=":4: polarity"):
+        parse_events_csv(path, (8, 8))
+
+
+def test_parse_csv_no_trailing_newline_and_crlf(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_bytes(b"x,y,t,p\r\n1,2,30,1\r\n\r\n3,4,10,0")
+    stream = parse_events_csv(path, (8, 8))
+    assert stream.t.tolist() == [10, 30]
+    assert stream.x.dtype == np.int64
+
+
+def test_parse_csv_header_only_is_empty_without_warning(tmp_path):
+    for body in ("x,y,t,p\n", "x,y,t,p", "x,y,t,p\n\n\n"):
+        path = tmp_path / "e.csv"
+        path.write_text(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = parse_events_csv(path, (8, 8))
+        assert len(stream) == 0
+        assert all(getattr(stream, f).dtype == np.int64 for f in "xytp")
+
+
+def test_parse_csv_quoted_fields_rejected(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text('x,y,t,p\n"1",2,3,1\n')
+    with pytest.raises(ParseError, match=":2: malformed"):
+        parse_events_csv(path, (8, 8))
+
+
+@pytest.mark.parametrize("row", [b"\xff\xfe,1,1,1", "1\U000596bc,2,3,1".encode(),
+                                 "\U000596bc,2,3,1".encode(), "１,2,3,1".encode()])
+def test_parse_csv_non_ascii_rejected(tmp_path, row):
+    # not UTF-8, or UTF-8 characters that numpy's integer parser misreads
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"x,y,t,p\n" + row + b"\n")
+    with pytest.raises(ParseError, match="not ASCII"):
+        parse_events_csv(path, (8, 8))
+
+
+_CSV_ISH = st.text(alphabet="0123456789,-+ .x\"#\t\r\n\x00", max_size=120)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.one_of(st.binary(max_size=120), _CSV_ISH.map(str.encode),
+                     st.text(max_size=60).map(str.encode)))
+def test_parse_csv_fuzz_only_typed_errors(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("fuzz") / "e.csv"
+    path.write_bytes(b"x,y,t,p\n" + body)
+    try:
+        stream = parse_events_csv(path, (8, 8))
+    except (ParseError, ValidationError):
+        return
+    assert all(getattr(stream, f).dtype == np.int64 for f in "xytp")
+
+
+def reference_csv_bytes(stream):
+    """What csv.writer wrote before write_events_csv formatted rows itself."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "y", "t", "p"])
+    for x, y, t, p in zip(stream.x, stream.y, stream.t, stream.p):
+        writer.writerow([int(x), int(y), int(t), int(p)])
+    return buf.getvalue().encode()
+
+
+def test_write_csv_matches_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    big = EventStream((16, 12), rng.integers(0, 16, 500), rng.integers(0, 12, 500),
+                      rng.integers(-10**15, 10**15, 500), rng.integers(0, 2, 500))
+    for stream in (random_stream(rng, 2_000), big, EventStream((4, 4))):
+        path = tmp_path / "e.csv"
+        write_events_csv(stream, path)
+        assert path.read_bytes() == reference_csv_bytes(stream)
 
 
 # -- stacking ---------------------------------------------------------------
@@ -249,6 +357,67 @@ def test_simulate_dvs_timestamps_sorted():
     frames = [rng.uniform(0.1, 1.0, size=(6, 6, 3)) for _ in range(4)]
     stream = simulate_dvs(VideoClip(frames, np.arange(4) * 500), 0.15)
     assert np.all(np.diff(stream.t) >= 0)
+
+
+def reference_simulate_dvs(clip, threshold):
+    """The per-pixel loop simulate_dvs replaced, kept as its reference."""
+    h, w = clip.frames[0].shape[:2]
+    xs, ys, ts, ps = [], [], [], []
+    prev_log = np.log(clip.frames[0].mean(axis=2) + 1e-3)
+    for i in range(1, len(clip)):
+        cur_log = np.log(clip.frames[i].mean(axis=2) + 1e-3)
+        delta = cur_log - prev_log
+        ratio = np.abs(delta) / threshold
+        near = np.ceil(ratio) - ratio < 1e-9
+        n = np.where(near, np.ceil(ratio), np.floor(ratio)).astype(np.int64)
+        t0, t1 = clip.timestamps[i - 1], clip.timestamps[i]
+        for y, x in zip(*np.nonzero(n)):
+            cnt, d = n[y, x], delta[y, x]
+            frac = np.arange(1, cnt + 1) * threshold / abs(d)
+            xs.append(np.full(cnt, x, np.int64))
+            ys.append(np.full(cnt, y, np.int64))
+            ts.append((t0 + frac * (t1 - t0)).astype(np.int64))
+            ps.append(np.full(cnt, 1 if d > 0 else 0, np.int64))
+        prev_log = cur_log
+    if not xs:
+        return EventStream((w, h))
+    return EventStream((w, h), np.concatenate(xs), np.concatenate(ys),
+                       np.concatenate(ts), np.concatenate(ps)).sorted_by_time()
+
+
+def assert_streams_identical(a, b):
+    assert a.resolution == b.resolution
+    for f in "xytp":
+        got, want = getattr(a, f), getattr(b, f)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_simulate_dvs_matches_per_pixel_reference():
+    rng = np.random.default_rng(41)
+    polarities = set()
+    for trial in range(12):
+        n_frames = int(rng.integers(4, 7))
+        h, w = rng.integers(1, 12, size=2)
+        frames = [rng.uniform(0.0, 1.0, size=(h, w, 3)) for _ in range(n_frames)]
+        ts = np.cumsum(rng.integers(1, 50_000, n_frames))
+        threshold = float(rng.uniform(0.05, 0.3))
+        clip = VideoClip(frames, ts)
+        got = simulate_dvs(clip, threshold)
+        assert_streams_identical(got, reference_simulate_dvs(clip, threshold))
+        per_pixel = np.bincount(got.y * w + got.x, minlength=h * w)
+        assert per_pixel.max() > 1  # several events at some pixel
+        polarities |= set(got.p.tolist())
+    assert polarities == {0, 1}
+
+
+def test_simulate_dvs_matches_reference_on_1x1_and_constant_clips():
+    one = VideoClip([np.full((1, 1, 3), v) for v in (0.1, 0.9, 0.2, 0.2)],
+                    [0, 10, 25, 40])
+    for clip in (one, constant_clip(0.5)):
+        assert_streams_identical(simulate_dvs(clip, 0.1),
+                                 reference_simulate_dvs(clip, 0.1))
+    assert len(simulate_dvs(one, 0.1)) > 2
 
 
 # -- synthetic dataset ------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -267,3 +268,26 @@ def test_evaluate_identical_with_and_without_no_grad():
     data = tiny_dataset(samples_per_class=1)
     recorded = evaluate.__wrapped__(data, model)  # evaluate without no_grad
     assert recorded == evaluate(data, model)
+
+
+def test_train_frees_previous_step_tape_before_next_forward(monkeypatch):
+    # Tensor has __slots__ without __weakref__, so the weakref is to the
+    # batch loss's own data array, which only that tensor holds.
+    model = tiny_model()
+    loss_refs, dead = [], []
+    real_backward, real_head = ad.backward, model.head
+
+    def recording_backward(loss):
+        loss_refs.append(weakref.ref(loss.data))
+        return real_backward(loss)
+
+    def checking_head(*args, **kwargs):
+        if len(dead) < len(loss_refs):  # first head call of a later step
+            dead.append(loss_refs[-1]() is None)
+        return real_head(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    monkeypatch.setattr(model, "head", checking_head)
+    train(tiny_dataset(), model, OptimConfig(epochs=2, batch_size=4))
+    assert len(loss_refs) == 4
+    assert dead == [True, True, True]
