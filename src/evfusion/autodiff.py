@@ -44,6 +44,20 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+_ATTENTION_WEIGHTS: list | None = None
+
+
+@contextlib.contextmanager
+def attention_weights():
+    """Yield a list; each attention head's weights are appended to it in call order."""
+    global _ATTENTION_WEIGHTS
+    previous, _ATTENTION_WEIGHTS = _ATTENTION_WEIGHTS, []
+    try:
+        yield _ATTENTION_WEIGHTS
+    finally:
+        _ATTENTION_WEIGHTS = previous
+
+
 class Tensor:
     """A float64 array plus its place in the computation graph."""
 
@@ -68,9 +82,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -312,13 +323,12 @@ def take_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     return _make(data, (table,), backward)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
-                         weights_sink: list | None = None) -> Tensor:
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(width / heads)) v as one tape node.
 
     Head h reads the h-th equal share of the columns of q, k and v and
-    writes that share of the output's columns. When weights_sink is a list,
-    each head's row-stochastic weights are appended to it as a Tensor.
+    writes that share of the output's columns. Inside attention_weights(),
+    each head's row-stochastic weights are appended to its list.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (tk, dv), d = v.shape, q.shape[1]
@@ -339,8 +349,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         raise NumericError("attention: non-finite logits")
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     p = e / e.sum(axis=2, keepdims=True)
-    if weights_sink is not None:
-        weights_sink.extend(Tensor(w) for w in p)
+    if _ATTENTION_WEIGHTS is not None:
+        _ATTENTION_WEIGHTS.extend(Tensor(w) for w in p)
 
     def backward(g):
         gh = split(g)

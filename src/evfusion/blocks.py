@@ -41,13 +41,12 @@ def init_attention(store: ParamStore, prefix: str, dim: int,
         init_linear(store, f"{prefix}.{name}", dim, dim, rng)
 
 
-def multi_head_attention(store: ParamStore, prefix: str, x: Tensor, heads: int,
-                         weights_sink: list | None = None) -> Tensor:
+def multi_head_attention(store: ParamStore, prefix: str, x: Tensor, heads: int) -> Tensor:
     """Self-attention over one token sequence; heads split the width."""
     q = linear(store, f"{prefix}.wq", x)
     k = linear(store, f"{prefix}.wk", x)
     v = linear(store, f"{prefix}.wv", x)
-    attended = ad.scaled_dot_attention(q, k, v, heads, weights_sink=weights_sink)
+    attended = ad.scaled_dot_attention(q, k, v, heads)
     return linear(store, f"{prefix}.wo", attended)
 
 
@@ -70,10 +69,10 @@ def init_transformer_block(store: ParamStore, prefix: str, dim: int,
 
 
 def transformer_block(store: ParamStore, prefix: str, x: Tensor, heads: int,
-                      act: str = "gelu", weights_sink: list | None = None) -> Tensor:
+                      act: str = "gelu") -> Tensor:
     """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x))."""
-    attn = multi_head_attention(store, f"{prefix}.attn", layer_norm(store, f"{prefix}.ln1", x),
-                                heads, weights_sink=weights_sink)
+    attn = multi_head_attention(store, f"{prefix}.attn",
+                                layer_norm(store, f"{prefix}.ln1", x), heads)
     x = ad.add(x, attn)
     h = linear(store, f"{prefix}.mlp1", layer_norm(store, f"{prefix}.ln2", x))
     h = linear(store, f"{prefix}.mlp2", activation(h, act))
@@ -86,10 +85,8 @@ def init_attention_only_block(store: ParamStore, prefix: str, dim: int,
     init_attention(store, f"{prefix}.attn", dim, rng)
 
 
-def attention_only_block(store: ParamStore, prefix: str, x: Tensor, heads: int,
-                         weights_sink: list | None = None) -> Tensor:
+def attention_only_block(store: ParamStore, prefix: str, x: Tensor, heads: int) -> Tensor:
     """Pre-norm residual self-attention without an MLP."""
     attn = multi_head_attention(store, f"{prefix}.attn",
-                                layer_norm(store, f"{prefix}.ln", x),
-                                heads, weights_sink=weights_sink)
+                                layer_norm(store, f"{prefix}.ln", x), heads)
     return ad.add(x, attn)

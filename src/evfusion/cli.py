@@ -64,8 +64,7 @@ def _write_json(path: Path, obj) -> None:
 def _train_and_eval(cfg: RunConfig) -> tuple[Model, list[dict], dict]:
     train_set, eval_set = make_datasets(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
-    log = train(train_set, model, cfg.optim, cfg.switches,
-                cache_frozen_encoders=cfg.cache_frozen_encoders)
+    log = train(train_set, model, cfg.optim, cfg.switches)
     metrics = evaluate(eval_set or train_set, model, cfg.switches)
     return model, log, metrics
 

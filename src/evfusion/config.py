@@ -70,7 +70,6 @@ class RunConfig:
     switches: AblationSwitches = field(default_factory=AblationSwitches)
     optim: OptimConfig = field(default_factory=OptimConfig)
     shallow_encoder_depth: int = 1  # used when the lvm switch is off
-    cache_frozen_encoders: bool = True
 
     @property
     def labels(self) -> list[str]:
@@ -207,7 +206,6 @@ def load_config(path: str | Path | None = None,
         switches=_build(doc.get("switches", {}), AblationSwitches, "switches"),
         optim=_build(optim_raw, OptimConfig, "optim"),
         shallow_encoder_depth=int(doc.get("shallow_encoder_depth", 1)),
-        cache_frozen_encoders=bool(doc.get("cache_frozen_encoders", True)),
     )
     validate(cfg)
     return cfg

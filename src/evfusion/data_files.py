@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .events import (EventStream, Sample, VideoClip, parse_events_binary,
                      parse_events_csv, write_events_binary, write_events_csv)
 
@@ -67,18 +67,37 @@ def write_sample(sample: Sample, directory: str | Path,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _manifest_fields(path: Path, **types: type) -> list:
+    """The named fields of a JSON manifest; ParseError if it is malformed or
+    one of them is missing or not of its type."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    bad = [f for f, t in types.items()
+           if not (isinstance(manifest, dict) and isinstance(manifest.get(f), t))]
+    if bad:
+        raise ParseError(f"{path}: missing or mistyped fields {bad}")
+    return [manifest[f] for f in types]
+
+
 def read_sample(directory: str | Path) -> Sample:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    frames = [read_ppm(directory / f"frame_{i:03d}.ppm")
-              for i in range(manifest["n_frames"])]
-    clip = VideoClip(frames, np.asarray(manifest["timestamps"], np.int64))
-    resolution = tuple(manifest["resolution"])
-    if manifest["event_format"] == "csv":
-        events = parse_events_csv(directory / "events.csv", resolution)
+    sample_id, label, timestamps, resolution, event_format, n_frames, n_events = (
+        _manifest_fields(directory / "manifest.json", sample_id=str, label=int,
+                         timestamps=list, resolution=list, event_format=str,
+                         n_frames=int, n_events=int))
+    if len(timestamps) != n_frames:
+        raise ValidationError(f"{directory}: {len(timestamps)} timestamps for {n_frames} frames")
+    frames = [read_ppm(directory / f"frame_{i:03d}.ppm") for i in range(n_frames)]
+    clip = VideoClip(frames, np.asarray(timestamps, np.int64))
+    if event_format == "csv":
+        events = parse_events_csv(directory / "events.csv", tuple(resolution))
     else:
         events = parse_events_binary(directory / "events.bin")
-    return Sample(clip, events, manifest["label"], manifest["sample_id"])
+    if len(events) != n_events:
+        raise ValidationError(f"{directory}: {len(events)} events, the manifest says {n_events}")
+    return Sample(clip, events, label, sample_id)
 
 
 def write_dataset(samples: list[Sample], labels: list[str],
@@ -107,5 +126,5 @@ def write_dataset(samples: list[Sample], labels: list[str],
 
 def read_dataset(out_dir: str | Path, split: str = "train") -> list[Sample]:
     out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / f"dataset_{split}.json").read_text())
-    return [read_sample(out_dir / name) for name in manifest["samples"]]
+    (names,) = _manifest_fields(out_dir / f"dataset_{split}.json", samples=list)
+    return [read_sample(out_dir / name) for name in names]

@@ -120,28 +120,26 @@ def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
 
 
 def encoder_forward(seq: TokenSequence, cfg: EncoderConfig, store: ParamStore,
-                    prefix: str, weights_sink: list | None = None) -> TokenSequence:
+                    prefix: str) -> TokenSequence:
     if seq.tokens.shape[1] != cfg.dim:
         raise ContractError(
             f"token width {seq.tokens.shape[1]} != encoder dim {cfg.dim}")
     x = seq.tokens
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads,
-                                     act=cfg.activation, weights_sink=weights_sink)
+                                     act=cfg.activation)
     return TokenSequence(x, seq.modality)
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
-                 prefix: str, modality: str,
-                 weights_sink: list | None = None) -> TokenSequence:
+                 prefix: str, modality: str) -> TokenSequence:
     seq = patchify_embed(frame, cfg, store, prefix)
     seq.modality = modality
-    return encoder_forward(seq, cfg, store, prefix, weights_sink=weights_sink)
+    return encoder_forward(seq, cfg, store, prefix)
 
 
 def encode_clip(clip: VideoClip | EventFrameSequence, cfg: EncoderConfig,
-                store: ParamStore, prefix: str,
-                weights_sink: list | None = None) -> list[TokenSequence]:
+                store: ParamStore, prefix: str) -> list[TokenSequence]:
     """Independently encode every frame of a clip."""
     if isinstance(clip, EventFrameSequence):
         frames = [event_frame_to_rgb(f) for f in clip.frames]
@@ -151,5 +149,4 @@ def encode_clip(clip: VideoClip | EventFrameSequence, cfg: EncoderConfig,
         modality = "vision"
     if not frames:
         raise ContractError("encode_clip: empty clip")
-    return [encode_frame(f, cfg, store, prefix, modality, weights_sink=weights_sink)
-            for f in frames]
+    return [encode_frame(f, cfg, store, prefix, modality) for f in frames]

@@ -38,10 +38,6 @@ class AblationSwitches:
     sa: bool = True    # vision-event self-attention fusion
     ca: bool = True    # text-query cross-attention
 
-    def as_dict(self) -> dict[str, bool]:
-        return {"sci": self.sci, "lvm": self.lvm, "mt": self.mt,
-                "sa": self.sa, "ca": self.ca}
-
 
 def _check_width(t: Tensor, dim: int, what: str) -> None:
     if t.shape[1] != dim:
@@ -65,8 +61,7 @@ def init_fusion_params(store: ParamStore, prefix: str, cfg: FusionConfig,
 
 
 def multimodal_transformer(modality: TokenSequence, text: TokenSequence,
-                           store: ParamStore, prefix: str, cfg: FusionConfig,
-                           weights_sink: list | None = None
+                           store: ParamStore, prefix: str, cfg: FusionConfig
                            ) -> tuple[TokenSequence, TokenSequence]:
     """Joint self-attention over [modality; text]; split back afterwards."""
     _check_width(modality.tokens, cfg.dim, "multimodal_transformer modality")
@@ -74,29 +69,26 @@ def multimodal_transformer(modality: TokenSequence, text: TokenSequence,
     x = ad.concat_rows(modality.tokens, text.tokens)
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads,
-                                     act=cfg.activation, weights_sink=weights_sink)
+                                     act=cfg.activation)
     mod_out, text_out = ad.split_rows(x, modality.n_tokens)
     return (TokenSequence(mod_out, modality.modality),
             TokenSequence(text_out, "text"))
 
 
 def fuse_vision_event(fv: TokenSequence, fe: TokenSequence, store: ParamStore,
-                      prefix: str, cfg: FusionConfig,
-                      weights_sink: list | None = None) -> TokenSequence:
+                      prefix: str, cfg: FusionConfig) -> TokenSequence:
     """Residual self-attention over the concatenated vision+event tokens.
     No positional encodings are added here, so the block is
     permutation-equivariant over its input rows."""
     _check_width(fv.tokens, cfg.dim, "fuse_vision_event vision")
     _check_width(fe.tokens, cfg.dim, "fuse_vision_event event")
     x = ad.concat_rows(fv.tokens, fe.tokens)
-    out = blocks.attention_only_block(store, prefix, x, cfg.heads,
-                                      weights_sink=weights_sink)
+    out = blocks.attention_only_block(store, prefix, x, cfg.heads)
     return TokenSequence(out, "vision")
 
 
 def cross_attention(text: TokenSequence, fused: TokenSequence, store: ParamStore,
-                    prefix: str, cfg: FusionConfig,
-                    weights_sink: list | None = None) -> TokenSequence:
+                    prefix: str, cfg: FusionConfig) -> TokenSequence:
     """Text tokens query the fused tokens; one output row per class,
     with a residual connection from the text query."""
     _check_width(text.tokens, cfg.dim, "cross_attention text")
@@ -104,20 +96,18 @@ def cross_attention(text: TokenSequence, fused: TokenSequence, store: ParamStore
     q = blocks.linear(store, f"{prefix}.wq", text.tokens)
     k = blocks.linear(store, f"{prefix}.wk", fused.tokens)
     v = blocks.linear(store, f"{prefix}.wv", fused.tokens)
-    attended = ad.scaled_dot_attention(q, k, v, weights_sink=weights_sink)
+    attended = ad.scaled_dot_attention(q, k, v)
     return TokenSequence(ad.add(text.tokens, attended), "text")
 
 
 def classify(fused: TokenSequence, ca_vt: TokenSequence, ca_et: TokenSequence,
-             store: ParamStore, prefix: str, cfg: FusionConfig,
-             weights_sink: list | None = None) -> tuple[Tensor, Tensor]:
+             store: ParamStore, prefix: str, cfg: FusionConfig) -> tuple[Tensor, Tensor]:
     """Concatenate the three streams, run the final self-attention block,
     mean-pool, and apply the single FC classifier.
 
     Returns (logits of shape (1, L), pooled pre-classifier feature)."""
     x = ad.concat_rows(fused.tokens, ca_vt.tokens, ca_et.tokens)
-    x = blocks.attention_only_block(store, f"{prefix}.final", x, cfg.heads,
-                                    weights_sink=weights_sink)
+    x = blocks.attention_only_block(store, f"{prefix}.final", x, cfg.heads)
     pooled = ad.mean_rows(x)
     logits = blocks.linear(store, f"{prefix}.clf", pooled)
     return logits, pooled
@@ -165,33 +155,27 @@ class Model:
 
     # -- forward stages --------------------------------------------------
 
-    def encode_sample(self, sample: Sample,
-                      weights_sink: list | None = None) -> tuple[Tensor, Tensor]:
+    def encode_sample(self, sample: Sample) -> tuple[Tensor, Tensor]:
         """Encode a sample's RGB clip and stacked event frames; each branch's
         per-frame token sequences are concatenated along the token axis."""
         w, h = sample.events.resolution
         ev_frames = stack_events(sample.events, sample.clip.timestamps, (w, h))
-        rgb_seqs = encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb",
-                               weights_sink=weights_sink)
-        ev_seqs = encode_clip(ev_frames, self.cfg.event, self.store, "event",
-                              weights_sink=weights_sink)
+        rgb_seqs = encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb")
+        ev_seqs = encode_clip(ev_frames, self.cfg.event, self.store, "event")
         fv = ad.concat_rows(*[s.tokens for s in rgb_seqs])
         fe = ad.concat_rows(*[s.tokens for s in ev_seqs])
         return fv, fe
 
-    def text_tokens(self, switches: AblationSwitches,
-                    weights_sink: list | None = None) -> Tensor:
+    def text_tokens(self, switches: AblationSwitches) -> Tensor:
         """Per-class text tokens; with sci off, semantics-free learned
         tokens of identical shape stand in."""
         if not switches.sci:
             return self.store["fusion.free_tokens"]
         return encode_labels(self.cfg.labels, self.cfg.template, self.cfg.text,
-                             self.vocab, self.store, "text",
-                             weights_sink=weights_sink).tokens
+                             self.vocab, self.store, "text").tokens
 
     def head(self, fv: Tensor, fe: Tensor, ft: Tensor,
-             switches: AblationSwitches,
-             weights_sink: list | None = None) -> tuple[Tensor, Tensor]:
+             switches: AblationSwitches) -> tuple[Tensor, Tensor]:
         """Fusion stages from encoded tokens to (logits, pooled feature)."""
         cfg = self.cfg.fusion
         seq_v = TokenSequence(fv, "vision")
@@ -200,35 +184,30 @@ class Model:
 
         if switches.mt:
             seq_v, text_vt = multimodal_transformer(
-                seq_v, seq_t, self.store, "fusion.mt_vt", cfg, weights_sink)
+                seq_v, seq_t, self.store, "fusion.mt_vt", cfg)
             seq_e, text_et = multimodal_transformer(
-                seq_e, seq_t, self.store, "fusion.mt_et", cfg, weights_sink)
+                seq_e, seq_t, self.store, "fusion.mt_et", cfg)
         else:
             text_vt = text_et = seq_t
 
         if switches.sa:
-            fused = fuse_vision_event(seq_v, seq_e, self.store, "fusion.sa_ve",
-                                      cfg, weights_sink)
+            fused = fuse_vision_event(seq_v, seq_e, self.store, "fusion.sa_ve", cfg)
         else:
             fused = TokenSequence(ad.concat_rows(seq_v.tokens, seq_e.tokens),
                                   "vision")
 
         if switches.ca:
-            ca_vt = cross_attention(text_vt, fused, self.store, "fusion.ca_vt",
-                                    cfg, weights_sink)
-            ca_et = cross_attention(text_et, fused, self.store, "fusion.ca_et",
-                                    cfg, weights_sink)
+            ca_vt = cross_attention(text_vt, fused, self.store, "fusion.ca_vt", cfg)
+            ca_et = cross_attention(text_et, fused, self.store, "fusion.ca_et", cfg)
         else:
             ca_vt, ca_et = text_vt, text_et
 
-        return classify(fused, ca_vt, ca_et, self.store, "fusion", cfg,
-                        weights_sink)
+        return classify(fused, ca_vt, ca_et, self.store, "fusion", cfg)
 
-    def forward(self, sample: Sample, switches: AblationSwitches | None = None,
-                weights_sink: list | None = None) -> Tensor:
+    def forward(self, sample: Sample, switches: AblationSwitches | None = None) -> Tensor:
         """Full pipeline: sample -> class logits of shape (1, L)."""
         switches = switches or AblationSwitches()
-        fv, fe = self.encode_sample(sample, weights_sink)
-        ft = self.text_tokens(switches, weights_sink)
-        logits, _ = self.head(fv, fe, ft, switches, weights_sink)
+        fv, fe = self.encode_sample(sample)
+        ft = self.text_tokens(switches)
+        logits, _ = self.head(fv, fe, ft, switches)
         return logits

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError
+from .errors import ContractError, ParseError, ValidationError
 
 
 class ParamStore:
@@ -32,9 +32,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -57,9 +54,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
     # -- checkpointing --------------------------------------------------
 
@@ -84,21 +78,32 @@ class ParamStore:
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
     def load(self, path: str | Path) -> None:
+        """Overwrite every parameter from a checkpoint that holds exactly this
+        store's names and shapes; on any mismatch raise and change nothing."""
         path = Path(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-        if flat.size != sidecar["n_values"]:
-            raise ContractError(
-                f"checkpoint {path}: expected {sidecar['n_values']} values, found {flat.size}")
-        for name, meta in sidecar["params"].items():
-            shape = tuple(meta["shape"])
-            size = int(np.prod(shape)) if shape else 1
-            block = flat[meta["offset"]:meta["offset"] + size].reshape(shape)
-            if name in self._params:
-                if self._params[name].data.shape != shape:
-                    raise ContractError(
-                        f"checkpoint {path}: shape mismatch for {name!r}")
-                self._params[name].data = block.astype(np.float64).copy()
-            else:
-                self.add(name, block.astype(np.float64).copy())
+        raw = path.read_bytes()
+        try:
+            sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+            n_values = int(sidecar["n_values"])
+            metas = {name: (tuple(meta["shape"]), int(meta["offset"]))
+                     for name, meta in sidecar["params"].items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"checkpoint {path}: malformed sidecar: {exc!r}") from exc
+        if len(raw) != 8 * n_values:
+            raise ParseError(f"checkpoint {path}: holds {len(raw) / 8:g} values, not {n_values}")
+        missing = sorted(self._params.keys() - metas.keys())
+        extra = sorted(metas.keys() - self._params.keys())
+        reshaped = sorted(n for n in self._params.keys() & metas.keys()
+                          if self._params[n].data.shape != metas[n][0])
+        if missing or extra or reshaped:
+            raise ValidationError(
+                f"checkpoint {path} does not match the model: missing {missing}, "
+                f"extra {extra}, shape mismatch {reshaped}")
+        flat = np.frombuffer(raw, dtype="<f8")
+        for name, (_, offset) in metas.items():
+            if not 0 <= offset <= flat.size - self._params[name].data.size:
+                raise ParseError(f"checkpoint {path}: {name!r} lies outside the values")
+        for name, (shape, offset) in metas.items():
+            t = self._params[name]
+            t.data = flat[offset:offset + t.data.size].reshape(shape).astype(np.float64)
         self.frozen_prefixes = set(sidecar.get("frozen_prefixes", []))

@@ -104,8 +104,7 @@ def init_text_params(store: ParamStore, prefix: str, cfg: TextConfig,
 
 
 def encode_one_label(label: str, tpl: PromptTemplate, cfg: TextConfig,
-                     vocab: Vocabulary, store: ParamStore, prefix: str,
-                     weights_sink: list | None = None) -> Tensor:
+                     vocab: Vocabulary, store: ParamStore, prefix: str) -> Tensor:
     """One pooled (1 x dim) text token for a single class label."""
     ids = tokenize(render_prompt(tpl, label), vocab, cfg.max_len)
     real = [i for i in ids if i != PAD]
@@ -118,19 +117,17 @@ def encode_one_label(label: str, tpl: PromptTemplate, cfg: TextConfig,
     x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, n_real))
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads,
-                                     act=cfg.activation, weights_sink=weights_sink)
+                                     act=cfg.activation)
     pooled = ad.matmul(Tensor(np.full((1, n_real), 1.0 / n_real)), x)
     return blocks.linear(store, f"{prefix}.proj", pooled)
 
 
 def encode_labels(labels: list[str], tpl: PromptTemplate, cfg: TextConfig,
-                  vocab: Vocabulary, store: ParamStore, prefix: str,
-                  weights_sink: list | None = None) -> TokenSequence:
+                  vocab: Vocabulary, store: ParamStore, prefix: str) -> TokenSequence:
     """Encode every class label into one token; row i = class i."""
     if len(labels) < 2:
         raise ContractError("need at least 2 labels")
     if len(set(labels)) != len(labels):
         raise ContractError("labels must be distinct")
-    rows = [encode_one_label(lb, tpl, cfg, vocab, store, prefix,
-                             weights_sink=weights_sink) for lb in labels]
+    rows = [encode_one_label(lb, tpl, cfg, vocab, store, prefix) for lb in labels]
     return TokenSequence(ad.concat_rows(*rows), "text")

@@ -140,8 +140,7 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
 
 def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
           switches: AblationSwitches | None = None,
-          eval_dataset: list[Sample] | None = None,
-          cache_frozen_encoders: bool = True) -> list[dict]:
+          eval_dataset: list[Sample] | None = None) -> list[dict]:
     """Epoch loop with seeded shuffling; returns the per-epoch metric log.
 
     When both encoders are frozen their per-sample outputs are constant
@@ -154,10 +153,8 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
     rng = np.random.default_rng(cfg.seed)
     state = TrainState()
 
-    frozen_encoders = (model.store.is_frozen("rgb.patch.w")
-                       and model.store.is_frozen("event.patch.w"))
-    cache = (_cache_encodings(model, dataset)
-             if cache_frozen_encoders and frozen_encoders else None)
+    frozen = model.store.is_frozen("rgb.patch.w") and model.store.is_frozen("event.patch.w")
+    cache = _cache_encodings(model, dataset) if frozen else None
 
     n = len(dataset)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size

@@ -58,8 +58,8 @@ def test_attention_invariants_on_1000_inputs():
         q = Tensor(rng.normal(scale=3.0, size=(nq, d)))
         k = Tensor(rng.normal(scale=3.0, size=(nk, d)))
         v = rng.normal(scale=3.0, size=(nk, dv))
-        sink = []
-        out = ad.scaled_dot_attention(q, k, Tensor(v), weights_sink=sink).data
+        with ad.attention_weights() as sink:
+            out = ad.scaled_dot_attention(q, k, Tensor(v)).data
         (w,) = sink
         w = w.data
         worst_row_sum = max(worst_row_sum, np.max(np.abs(w.sum(axis=1) - 1.0)))

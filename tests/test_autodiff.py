@@ -268,9 +268,8 @@ def test_multi_head_attention_matches_per_head_oracle(heads, tq, tk, d, dv):
     k = rng.normal(scale=2.0, size=(tk, d))
     v = rng.normal(size=(tk, dv))
     expected, expected_weights = _per_head_attention_oracle(q, k, v, heads)
-    sink = []
-    out = ad.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), heads,
-                                  weights_sink=sink)
+    with ad.attention_weights() as sink:
+        out = ad.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), heads)
     assert out.shape == (tq, dv)
     assert np.max(np.abs(out.data - expected)) < 1e-12
     assert len(sink) == heads
@@ -284,6 +283,38 @@ def test_multi_head_attention_is_one_tape_node():
     out = ad.scaled_dot_attention(q, k, v, heads=4)
     assert out._parents == (q, k, v)
     assert all(p._backward is None for p in out._parents)
+
+
+def test_attention_weights_records_only_inside_the_context():
+    x = Tensor(np.ones((3, 4)))
+    ad.scaled_dot_attention(x, x, x, heads=2)
+    with ad.attention_weights() as sink:
+        assert sink == []
+        ad.scaled_dot_attention(x, x, x, heads=2)
+    ad.scaled_dot_attention(x, x, x, heads=2)
+    assert len(sink) == 2
+    with ad.attention_weights() as fresh:
+        pass
+    assert fresh == [] and fresh is not sink
+
+
+def test_attention_weights_nesting_and_errors_restore_the_outer_list():
+    x = Tensor(np.ones((3, 4)))
+    with ad.attention_weights() as outer:
+        ad.scaled_dot_attention(x, x, x)
+        with ad.attention_weights() as inner:
+            ad.scaled_dot_attention(x, x, x, heads=2)
+        ad.scaled_dot_attention(x, x, x)
+        with pytest.raises(ContractError):
+            with ad.attention_weights() as failed:
+                ad.scaled_dot_attention(x, x, x, heads=4)
+                raise ContractError("boom")
+        ad.scaled_dot_attention(x, x, x)
+    with pytest.raises(ContractError):
+        with ad.attention_weights() as top:
+            raise ContractError("boom")
+    ad.scaled_dot_attention(x, x, x, heads=2)
+    assert [len(outer), len(inner), len(failed), len(top)] == [3, 2, 4, 0]
 
 
 def test_attention_heads_must_divide_widths():

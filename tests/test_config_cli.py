@@ -9,6 +9,7 @@ from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                              config_to_dict, load_config, make_datasets)
 from evfusion.errors import ConfigError, ParseError, ValidationError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
+from evfusion.fusion import Model
 from evfusion.params import ParamStore
 
 
@@ -185,6 +186,44 @@ def test_param_store_load_shape_mismatch(tmp_path):
         other.load(tmp_path / "m.ckpt")
 
 
+def two_param_checkpoint(tmp_path):
+    store = ParamStore()
+    store.add("a.w", np.ones((2, 3)))
+    store.add("b.w", np.ones((1, 2)))
+    store.save(tmp_path / "m.ckpt")
+    return tmp_path / "m.ckpt"
+
+
+def test_param_store_load_missing_name_changes_nothing(tmp_path):
+    path = two_param_checkpoint(tmp_path)
+    other = ParamStore()
+    other.add("a.w", np.zeros((2, 3)))
+    other.add("b.w", np.zeros((1, 2)))
+    other.add("c.w", np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match=r"missing \['c.w'\], extra \[\]"):
+        other.load(path)
+    assert not np.any(other["a.w"].data)
+
+
+def test_param_store_load_extra_name(tmp_path):
+    path = two_param_checkpoint(tmp_path)
+    other = ParamStore()
+    other.add("a.w", np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match=r"missing \[\], extra \['b.w'\]"):
+        other.load(path)
+    assert other.names() == ["a.w"]
+
+
+def test_param_store_load_value_count_mismatch(tmp_path):
+    path = two_param_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    other = ParamStore()
+    other.add("a.w", np.zeros((2, 3)))
+    other.add("b.w", np.zeros((1, 2)))
+    with pytest.raises(ParseError, match="holds 7 values, not 8"):
+        other.load(path)
+
+
 # -- dataset files ---------------------------------------------------------------
 
 def desk_samples(n_frames=2):
@@ -252,6 +291,42 @@ def test_dataset_roundtrip(tmp_path, fmt):
         assert np.array_equal(a.events.p, b.events.p)
         for fa, fb in zip(a.clip.frames, b.clip.frames):
             assert np.max(np.abs(fa - fb)) <= 1.0 / 255.0 + 1e-12
+
+
+@pytest.mark.parametrize("edit,error,match", [
+    (None, ParseError, "invalid JSON"),
+    (lambda doc: doc.pop("n_frames"), ParseError, "mistyped fields \\['n_frames'\\]"),
+    (lambda doc: doc.pop("event_format"), ParseError, "mistyped fields \\['event_format'\\]"),
+    (lambda doc: doc.update(timestamps=5), ParseError, "mistyped fields \\['timestamps'\\]"),
+    (lambda doc: doc.update(n_frames="2"), ParseError, "mistyped fields \\['n_frames'\\]"),
+    (lambda doc: doc.update(n_events=999999), ValidationError, "the manifest says 999999"),
+    (lambda doc: doc.update(timestamps=doc["timestamps"][:1]), ValidationError,
+     "1 timestamps for 2 frames"),
+], ids=["truncated", "no-n_frames", "no-event_format", "int-timestamps", "str-n_frames",
+        "n_events", "timestamps"])
+def test_read_sample_rejects_a_bad_manifest(tmp_path, edit, error, match):
+    samples, _ = desk_samples()
+    data_files.write_sample(samples[0], tmp_path)
+    path = tmp_path / "manifest.json"
+    text = path.read_text()
+    if edit is None:
+        path.write_text(text[:len(text) // 2])
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=match):
+        data_files.read_sample(tmp_path)
+
+
+@pytest.mark.parametrize("content", ["{\"samples\": [", "{\"split\": \"train\"}", "[]"],
+                         ids=["truncated", "no-samples", "not-an-object"])
+def test_read_dataset_rejects_a_bad_manifest(tmp_path, content):
+    samples, labels = desk_samples()
+    data_files.write_dataset(samples, labels, tmp_path)
+    (tmp_path / "dataset_train.json").write_text(content)
+    with pytest.raises(ParseError):
+        data_files.read_dataset(tmp_path)
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -325,3 +400,13 @@ def test_cli_maps_parse_and_validation_errors_to_io_exit(tmp_path, capsys,
     assert run_cli(["train", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["io error: bad input file"]
+
+
+def test_cli_eval_wrong_shape_checkpoint_is_io_error(tmp_path, capsys):
+    wide = load_config(write_tiny(tmp_path, fusion={"dim": 16, "heads": 2, "mlp_ratio": 4.0}))
+    ckpt = tmp_path / "wide.ckpt"
+    Model(wide.model_config(), seed=0).store.save(ckpt)
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
+    assert run_cli(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "'fusion.mt_vt.block0.mlp1.w'" in err

@@ -195,13 +195,33 @@ def test_every_switch_pattern_runs_and_changes_output():
 
 def test_attention_weight_sink_collects_row_stochastic_matrices():
     model = Model(tiny_model_config(), seed=4)
-    sink = []
-    model.forward(tiny_sample(), weights_sink=sink)
+    with ad.attention_weights() as sink:
+        model.forward(tiny_sample())
     assert len(sink) > 0
     for w in sink:
         arr = w.data if isinstance(w, Tensor) else np.asarray(w)
         assert np.all(arr >= 0)
         assert np.max(np.abs(arr.sum(axis=1) - 1.0)) < 1e-9
+
+
+def test_attention_weights_capture_every_head_of_one_forward():
+    cfg = tiny_model_config()
+    model = Model(cfg, seed=4)
+    sample = tiny_sample()
+    n_frames, n_labels, f = len(sample.clip), len(cfg.labels), cfg.fusion
+    with ad.attention_weights() as sink:
+        model.forward(sample)
+    expected = (cfg.rgb.depth * cfg.rgb.heads * n_frames
+                + cfg.event.depth * cfg.event.heads * n_frames
+                + cfg.text.depth * cfg.text.heads * n_labels
+                + 2 * f.depth * f.heads  # mt_vt, mt_et
+                + f.heads                # sa
+                + 2                      # ca_vt, ca_et: one head each
+                + f.heads)               # final
+    assert len(sink) == expected
+    n_fused = n_frames * (cfg.rgb.n_tokens + cfg.event.n_tokens)
+    assert [w.shape for w in sink[-f.heads - 2:]] == (
+        [(n_labels, n_fused)] * 2 + [(n_fused + 2 * n_labels,) * 2] * f.heads)
 
 
 def test_gradients_flow_to_all_trainable_fusion_params():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from evfusion import autodiff as ad
+from evfusion import trainer
 from evfusion.autodiff import Tensor, backward
 from evfusion.encoders import EncoderConfig
 from evfusion.errors import ContractError
@@ -228,13 +229,14 @@ def test_train_deterministic_across_runs():
     assert np.array_equal(finals[0], finals[1])
 
 
-def test_train_encoder_cache_matches_uncached():
+def test_train_encoder_cache_matches_uncached(monkeypatch):
     data = tiny_dataset()
     results = []
     for cache in (True, False):
+        if not cache:  # force the path that re-encodes every step
+            monkeypatch.setattr(trainer, "_cache_encodings", lambda m, d: None)
         model = tiny_model(seed=5)
-        log = train(data, model, OptimConfig(epochs=2, batch_size=4, seed=2),
-                    cache_frozen_encoders=cache)
+        log = train(data, model, OptimConfig(epochs=2, batch_size=4, seed=2))
         results.append(([r["train_loss"] for r in log],
                         model.store["fusion.clf.w"].data.copy()))
     assert results[0][0] == results[1][0]
