@@ -1,7 +1,7 @@
 """Frame-event-text fusion classifier with a from-scratch autodiff engine."""
 
 from .autodiff import Tensor, backward, finite_diff_check
-from .encoders import EncoderConfig, TokenSequence
+from .encoders import EncoderConfig
 from .events import EventStream, Sample, SynthSpec, VideoClip, simulate_dvs, stack_events, synth_dataset
 from .fusion import AblationSwitches, FusionConfig, Model, ModelConfig
 from .text import PromptTemplate, Vocabulary, render_prompt, tokenize
@@ -9,7 +9,7 @@ from .trainer import OptimConfig, cosine_lr, cross_entropy, evaluate, train
 
 __all__ = [
     "Tensor", "backward", "finite_diff_check",
-    "EncoderConfig", "TokenSequence",
+    "EncoderConfig",
     "EventStream", "Sample", "SynthSpec", "VideoClip",
     "simulate_dvs", "stack_events", "synth_dataset",
     "AblationSwitches", "FusionConfig", "Model", "ModelConfig",

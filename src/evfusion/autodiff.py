@@ -86,15 +86,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
@@ -159,12 +150,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0.0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

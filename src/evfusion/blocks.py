@@ -10,7 +10,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError
 from .params import ParamStore
 
 INIT_STD = 0.02
@@ -50,14 +49,6 @@ def multi_head_attention(store: ParamStore, prefix: str, x: Tensor, heads: int) 
     return linear(store, f"{prefix}.wo", attended)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "gelu":
-        return ad.gelu(x)
-    if kind == "relu":
-        return ad.relu(x)
-    raise ContractError(f"unknown activation {kind!r}")
-
-
 def init_transformer_block(store: ParamStore, prefix: str, dim: int,
                            mlp_ratio: float, rng: np.random.Generator) -> None:
     hidden = int(round(dim * mlp_ratio))
@@ -68,14 +59,13 @@ def init_transformer_block(store: ParamStore, prefix: str, dim: int,
     init_linear(store, f"{prefix}.mlp2", hidden, dim, rng)
 
 
-def transformer_block(store: ParamStore, prefix: str, x: Tensor, heads: int,
-                      act: str = "gelu") -> Tensor:
+def transformer_block(store: ParamStore, prefix: str, x: Tensor, heads: int) -> Tensor:
     """Pre-norm block: x + MHA(LN(x)), then x + MLP(LN(x))."""
     attn = multi_head_attention(store, f"{prefix}.attn",
                                 layer_norm(store, f"{prefix}.ln1", x), heads)
     x = ad.add(x, attn)
     h = linear(store, f"{prefix}.mlp1", layer_norm(store, f"{prefix}.ln2", x))
-    h = linear(store, f"{prefix}.mlp2", activation(h, act))
+    h = linear(store, f"{prefix}.mlp2", ad.gelu(h))
     return ad.add(x, h)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 from .encoders import EncoderConfig
@@ -94,10 +94,7 @@ class RunConfig:
 
 
 def _shallow(cfg: EncoderConfig, depth: int) -> EncoderConfig:
-    return EncoderConfig(image_size=cfg.image_size, patch_size=cfg.patch_size,
-                         dim=cfg.dim, depth=depth, heads=cfg.heads,
-                         mlp_ratio=cfg.mlp_ratio, frozen=False,
-                         activation=cfg.activation)
+    return replace(cfg, depth=depth, frozen=False)
 
 
 def make_datasets(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:

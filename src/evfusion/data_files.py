@@ -87,8 +87,14 @@ def read_sample(directory: str | Path) -> Sample:
         _manifest_fields(directory / "manifest.json", sample_id=str, label=int,
                          timestamps=list, resolution=list, event_format=str,
                          n_frames=int, n_events=int))
+    if not all(type(v) is int for v in timestamps + resolution):
+        raise ParseError(f"{directory}: timestamps and resolution must hold integers")
     if len(timestamps) != n_frames:
         raise ValidationError(f"{directory}: {len(timestamps)} timestamps for {n_frames} frames")
+    if any(b <= a for a, b in zip(timestamps, timestamps[1:])):
+        raise ValidationError(f"{directory}: timestamps {timestamps} are not strictly increasing")
+    if len(resolution) != 2 or min(resolution) < 1:
+        raise ValidationError(f"{directory}: resolution {resolution} is not two positive integers")
     frames = [read_ppm(directory / f"frame_{i:03d}.ppm") for i in range(n_frames)]
     clip = VideoClip(frames, np.asarray(timestamps, np.int64))
     if event_format == "csv":

@@ -30,7 +30,6 @@ class EncoderConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     frozen: bool = True
-    activation: str = "gelu"
 
     def __post_init__(self):
         if self.image_size % self.patch_size != 0:
@@ -46,16 +45,6 @@ class EncoderConfig:
     @property
     def n_tokens(self) -> int:
         return self.n_patches + 1  # class token
-
-
-@dataclass
-class TokenSequence:
-    tokens: Tensor
-    modality: str  # vision | event | text
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
 
 
 def bilinear_resize(frame: np.ndarray, size: int) -> np.ndarray:
@@ -101,7 +90,7 @@ def init_encoder_params(store: ParamStore, prefix: str, cfg: EncoderConfig,
 
 
 def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
-                   prefix: str) -> TokenSequence:
+                   prefix: str) -> Tensor:
     """Resize, patchify, project, prepend class token, add positions."""
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ContractError(f"expected (H, W, 3) frame, got {frame.shape}")
@@ -115,38 +104,30 @@ def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
                   .reshape(g * g, p * p * 3))
     embedded = blocks.linear(store, f"{prefix}.patch", Tensor(patches))
     with_cls = ad.concat_rows(store[f"{prefix}.cls"], embedded)
-    tokens = ad.add(with_cls, store[f"{prefix}.pos"])
-    return TokenSequence(tokens, "vision")
+    return ad.add(with_cls, store[f"{prefix}.pos"])
 
 
-def encoder_forward(seq: TokenSequence, cfg: EncoderConfig, store: ParamStore,
-                    prefix: str) -> TokenSequence:
-    if seq.tokens.shape[1] != cfg.dim:
-        raise ContractError(
-            f"token width {seq.tokens.shape[1]} != encoder dim {cfg.dim}")
-    x = seq.tokens
+def encoder_forward(x: Tensor, cfg: EncoderConfig, store: ParamStore,
+                    prefix: str) -> Tensor:
+    if x.shape[1] != cfg.dim:
+        raise ContractError(f"token width {x.shape[1]} != encoder dim {cfg.dim}")
     for i in range(cfg.depth):
-        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads,
-                                     act=cfg.activation)
-    return TokenSequence(x, seq.modality)
+        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
+    return x
 
 
 def encode_frame(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
-                 prefix: str, modality: str) -> TokenSequence:
-    seq = patchify_embed(frame, cfg, store, prefix)
-    seq.modality = modality
-    return encoder_forward(seq, cfg, store, prefix)
+                 prefix: str) -> Tensor:
+    return encoder_forward(patchify_embed(frame, cfg, store, prefix), cfg, store, prefix)
 
 
 def encode_clip(clip: VideoClip | EventFrameSequence, cfg: EncoderConfig,
-                store: ParamStore, prefix: str) -> list[TokenSequence]:
+                store: ParamStore, prefix: str) -> list[Tensor]:
     """Independently encode every frame of a clip."""
     if isinstance(clip, EventFrameSequence):
         frames = [event_frame_to_rgb(f) for f in clip.frames]
-        modality = "event"
     else:
         frames = clip.frames
-        modality = "vision"
     if not frames:
         raise ContractError("encode_clip: empty clip")
-    return [encode_frame(f, cfg, store, prefix, modality) for f in frames]
+    return [encode_frame(f, cfg, store, prefix) for f in frames]

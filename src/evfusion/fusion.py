@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import Tensor
-from .encoders import EncoderConfig, TokenSequence, encode_clip
+from .encoders import EncoderConfig, encode_clip
 from .errors import ContractError, DimensionError
 from .events import Sample, stack_events
 from .params import ParamStore
@@ -27,7 +27,6 @@ class FusionConfig:
     depth: int = 1          # blocks per multimodal transformer
     heads: int = 4
     mlp_ratio: float = 4.0
-    activation: str = "gelu"
 
 
 @dataclass
@@ -60,53 +59,46 @@ def init_fusion_params(store: ParamStore, prefix: str, cfg: FusionConfig,
               rng.normal(0.0, blocks.INIT_STD, size=(n_classes, cfg.dim)))
 
 
-def multimodal_transformer(modality: TokenSequence, text: TokenSequence,
-                           store: ParamStore, prefix: str, cfg: FusionConfig
-                           ) -> tuple[TokenSequence, TokenSequence]:
+def multimodal_transformer(modality: Tensor, text: Tensor, store: ParamStore,
+                           prefix: str, cfg: FusionConfig) -> tuple[Tensor, Tensor]:
     """Joint self-attention over [modality; text]; split back afterwards."""
-    _check_width(modality.tokens, cfg.dim, "multimodal_transformer modality")
-    _check_width(text.tokens, cfg.dim, "multimodal_transformer text")
-    x = ad.concat_rows(modality.tokens, text.tokens)
+    _check_width(modality, cfg.dim, "multimodal_transformer modality")
+    _check_width(text, cfg.dim, "multimodal_transformer text")
+    x = ad.concat_rows(modality, text)
     for i in range(cfg.depth):
-        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads,
-                                     act=cfg.activation)
-    mod_out, text_out = ad.split_rows(x, modality.n_tokens)
-    return (TokenSequence(mod_out, modality.modality),
-            TokenSequence(text_out, "text"))
+        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
+    return ad.split_rows(x, modality.shape[0])
 
 
-def fuse_vision_event(fv: TokenSequence, fe: TokenSequence, store: ParamStore,
-                      prefix: str, cfg: FusionConfig) -> TokenSequence:
+def fuse_vision_event(fv: Tensor, fe: Tensor, store: ParamStore,
+                      prefix: str, cfg: FusionConfig) -> Tensor:
     """Residual self-attention over the concatenated vision+event tokens.
     No positional encodings are added here, so the block is
     permutation-equivariant over its input rows."""
-    _check_width(fv.tokens, cfg.dim, "fuse_vision_event vision")
-    _check_width(fe.tokens, cfg.dim, "fuse_vision_event event")
-    x = ad.concat_rows(fv.tokens, fe.tokens)
-    out = blocks.attention_only_block(store, prefix, x, cfg.heads)
-    return TokenSequence(out, "vision")
+    _check_width(fv, cfg.dim, "fuse_vision_event vision")
+    _check_width(fe, cfg.dim, "fuse_vision_event event")
+    return blocks.attention_only_block(store, prefix, ad.concat_rows(fv, fe), cfg.heads)
 
 
-def cross_attention(text: TokenSequence, fused: TokenSequence, store: ParamStore,
-                    prefix: str, cfg: FusionConfig) -> TokenSequence:
+def cross_attention(text: Tensor, fused: Tensor, store: ParamStore,
+                    prefix: str, cfg: FusionConfig) -> Tensor:
     """Text tokens query the fused tokens; one output row per class,
     with a residual connection from the text query."""
-    _check_width(text.tokens, cfg.dim, "cross_attention text")
-    _check_width(fused.tokens, cfg.dim, "cross_attention fused")
-    q = blocks.linear(store, f"{prefix}.wq", text.tokens)
-    k = blocks.linear(store, f"{prefix}.wk", fused.tokens)
-    v = blocks.linear(store, f"{prefix}.wv", fused.tokens)
-    attended = ad.scaled_dot_attention(q, k, v)
-    return TokenSequence(ad.add(text.tokens, attended), "text")
+    _check_width(text, cfg.dim, "cross_attention text")
+    _check_width(fused, cfg.dim, "cross_attention fused")
+    q = blocks.linear(store, f"{prefix}.wq", text)
+    k = blocks.linear(store, f"{prefix}.wk", fused)
+    v = blocks.linear(store, f"{prefix}.wv", fused)
+    return ad.add(text, ad.scaled_dot_attention(q, k, v))
 
 
-def classify(fused: TokenSequence, ca_vt: TokenSequence, ca_et: TokenSequence,
+def classify(fused: Tensor, ca_vt: Tensor, ca_et: Tensor,
              store: ParamStore, prefix: str, cfg: FusionConfig) -> tuple[Tensor, Tensor]:
     """Concatenate the three streams, run the final self-attention block,
     mean-pool, and apply the single FC classifier.
 
     Returns (logits of shape (1, L), pooled pre-classifier feature)."""
-    x = ad.concat_rows(fused.tokens, ca_vt.tokens, ca_et.tokens)
+    x = ad.concat_rows(fused, ca_vt, ca_et)
     x = blocks.attention_only_block(store, f"{prefix}.final", x, cfg.heads)
     pooled = ad.mean_rows(x)
     logits = blocks.linear(store, f"{prefix}.clf", pooled)
@@ -160,10 +152,8 @@ class Model:
         per-frame token sequences are concatenated along the token axis."""
         w, h = sample.events.resolution
         ev_frames = stack_events(sample.events, sample.clip.timestamps, (w, h))
-        rgb_seqs = encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb")
-        ev_seqs = encode_clip(ev_frames, self.cfg.event, self.store, "event")
-        fv = ad.concat_rows(*[s.tokens for s in rgb_seqs])
-        fe = ad.concat_rows(*[s.tokens for s in ev_seqs])
+        fv = ad.concat_rows(*encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb"))
+        fe = ad.concat_rows(*encode_clip(ev_frames, self.cfg.event, self.store, "event"))
         return fv, fe
 
     def text_tokens(self, switches: AblationSwitches) -> Tensor:
@@ -172,29 +162,22 @@ class Model:
         if not switches.sci:
             return self.store["fusion.free_tokens"]
         return encode_labels(self.cfg.labels, self.cfg.template, self.cfg.text,
-                             self.vocab, self.store, "text").tokens
+                             self.vocab, self.store, "text")
 
     def head(self, fv: Tensor, fe: Tensor, ft: Tensor,
              switches: AblationSwitches) -> tuple[Tensor, Tensor]:
         """Fusion stages from encoded tokens to (logits, pooled feature)."""
         cfg = self.cfg.fusion
-        seq_v = TokenSequence(fv, "vision")
-        seq_e = TokenSequence(fe, "event")
-        seq_t = TokenSequence(ft, "text")
-
         if switches.mt:
-            seq_v, text_vt = multimodal_transformer(
-                seq_v, seq_t, self.store, "fusion.mt_vt", cfg)
-            seq_e, text_et = multimodal_transformer(
-                seq_e, seq_t, self.store, "fusion.mt_et", cfg)
+            fv, text_vt = multimodal_transformer(fv, ft, self.store, "fusion.mt_vt", cfg)
+            fe, text_et = multimodal_transformer(fe, ft, self.store, "fusion.mt_et", cfg)
         else:
-            text_vt = text_et = seq_t
+            text_vt = text_et = ft
 
         if switches.sa:
-            fused = fuse_vision_event(seq_v, seq_e, self.store, "fusion.sa_ve", cfg)
+            fused = fuse_vision_event(fv, fe, self.store, "fusion.sa_ve", cfg)
         else:
-            fused = TokenSequence(ad.concat_rows(seq_v.tokens, seq_e.tokens),
-                                  "vision")
+            fused = ad.concat_rows(fv, fe)
 
         if switches.ca:
             ca_vt = cross_attention(text_vt, fused, self.store, "fusion.ca_vt", cfg)

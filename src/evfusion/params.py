@@ -2,7 +2,8 @@
 
 Checkpoint format: a flat file of little-endian float64 values plus a
 JSON sidecar manifest mapping each parameter name to its shape and
-element offset into the flat file. Save/load is bit-exact.
+element offset into the flat file. Save/load is bit-exact. A checkpoint
+holds values only: which parameters are frozen is set by the config.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from .errors import ContractError, ParseError, ValidationError
 
 
 class ParamStore:
-    """Ordered name -> Tensor map with frozen-group bookkeeping."""
+    """Ordered name -> Tensor map; a parameter is frozen when its tensor
+    does not require a gradient."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self.frozen_prefixes: set[str] = set()
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
@@ -43,13 +44,16 @@ class ParamStore:
         return list(self._params.values())
 
     def freeze(self, prefix: str) -> None:
-        self.frozen_prefixes.add(prefix)
+        """Turn off gradients for the parameters added so far under prefix."""
+        for name, t in self._params.items():
+            if name.startswith(prefix):
+                t.requires_grad = False
 
     def is_frozen(self, name: str) -> bool:
-        return any(name.startswith(p) for p in self.frozen_prefixes)
+        return name in self._params and not self._params[name].requires_grad
 
     def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if not self.is_frozen(n)]
+        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -71,7 +75,6 @@ class ParamStore:
         sidecar = {
             "dtype": "<f8",
             "n_values": offset,
-            "frozen_prefixes": sorted(self.frozen_prefixes),
             "params": manifest,
         }
         path.with_suffix(path.suffix + ".json").write_text(
@@ -106,4 +109,3 @@ class ParamStore:
         for name, (shape, offset) in metas.items():
             t = self._params[name]
             t.data = flat[offset:offset + t.data.size].reshape(shape).astype(np.float64)
-        self.frozen_prefixes = set(sidecar.get("frozen_prefixes", []))

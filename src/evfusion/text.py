@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import Tensor
-from .encoders import TokenSequence
 from .errors import ContractError
 from .params import ParamStore
 
@@ -85,7 +84,6 @@ class TextConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     max_len: int = 12
-    activation: str = "gelu"
     frozen: bool = False
 
 
@@ -116,18 +114,17 @@ def encode_one_label(label: str, tpl: PromptTemplate, cfg: TextConfig,
     x = ad.take_rows(store[f"{prefix}.embed"], real)
     x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, n_real))
     for i in range(cfg.depth):
-        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads,
-                                     act=cfg.activation)
+        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
     pooled = ad.matmul(Tensor(np.full((1, n_real), 1.0 / n_real)), x)
     return blocks.linear(store, f"{prefix}.proj", pooled)
 
 
 def encode_labels(labels: list[str], tpl: PromptTemplate, cfg: TextConfig,
-                  vocab: Vocabulary, store: ParamStore, prefix: str) -> TokenSequence:
+                  vocab: Vocabulary, store: ParamStore, prefix: str) -> Tensor:
     """Encode every class label into one token; row i = class i."""
     if len(labels) < 2:
         raise ContractError("need at least 2 labels")
     if len(set(labels)) != len(labels):
         raise ContractError("labels must be distinct")
     rows = [encode_one_label(lb, tpl, cfg, vocab, store, prefix) for lb in labels]
-    return TokenSequence(ad.concat_rows(*rows), "text")
+    return ad.concat_rows(*rows)

@@ -302,7 +302,7 @@ def test_full_scale_shape_conformance():
     init_encoder_params(store, "enc", cfg, np.random.default_rng(0))
     frame = np.random.default_rng(1).uniform(size=(224, 224, 3))
     seq = patchify_embed(frame, cfg, store, "enc")
-    assert seq.tokens.shape == (197, 768)
+    assert seq.shape == (197, 768)
     report("PASS full-scale shape: image 224 / patch 16 / dim 768 yields "
            "197 tokens of width 768 per frame")
 

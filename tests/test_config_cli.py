@@ -169,11 +169,34 @@ def test_param_store_roundtrip(tmp_path):
     other.add("a.w", np.zeros((3, 4)))
     other.add("a.b", np.zeros((1, 4)))
     other.add("b.w", np.zeros((2, 2)))
+    other.freeze("b")
     other.load(path)
     for name in store.names():
         assert np.array_equal(other[name].data, store[name].data)
-    assert other.is_frozen("a.w")
-    assert not other.is_frozen("b.w")
+    # a checkpoint holds values only: the loading store keeps its own flags
+    assert [other.is_frozen(n) for n in other.names()] == [False, False, True]
+
+
+def test_param_store_ignores_a_frozen_prefixes_sidecar_key(tmp_path):
+    store = ParamStore()
+    store.add("a.w", np.ones((2, 3)))
+    store.add("b.w", np.full((1, 2), 2.0))
+    store.freeze("a")
+    path = tmp_path / "m.ckpt"
+    store.save(path)
+    sidecar = path.with_suffix(".ckpt.json")
+    doc = json.loads(sidecar.read_text())
+    assert "frozen_prefixes" not in doc
+    doc["frozen_prefixes"] = ["b"]  # what older checkpoints carry
+    sidecar.write_text(json.dumps(doc))
+
+    other = ParamStore()
+    other.add("a.w", np.zeros((2, 3)))
+    other.add("b.w", np.zeros((1, 2)))
+    other.load(path)
+    assert np.array_equal(other["a.w"].data, store["a.w"].data)
+    assert np.array_equal(other["b.w"].data, store["b.w"].data)
+    assert not other.is_frozen("a.w") and not other.is_frozen("b.w")
 
 
 def test_param_store_load_shape_mismatch(tmp_path):
@@ -302,8 +325,16 @@ def test_dataset_roundtrip(tmp_path, fmt):
     (lambda doc: doc.update(n_events=999999), ValidationError, "the manifest says 999999"),
     (lambda doc: doc.update(timestamps=doc["timestamps"][:1]), ValidationError,
      "1 timestamps for 2 frames"),
+    (lambda doc: doc.update(timestamps=[5, 5, 5], n_frames=3), ValidationError,
+     "not strictly increasing"),
+    (lambda doc: doc.update(timestamps=["x", 1, 2], n_frames=3), ParseError, "must hold integers"),
+    (lambda doc: doc.update(timestamps=[0.5, 1, 2], n_frames=3), ParseError,
+     "must hold integers"),
+    (lambda doc: doc.update(resolution=[16]), ValidationError, "not two positive integers"),
+    (lambda doc: doc.update(resolution=["a", 16]), ParseError, "must hold integers"),
 ], ids=["truncated", "no-n_frames", "no-event_format", "int-timestamps", "str-n_frames",
-        "n_events", "timestamps"])
+        "n_events", "timestamps", "repeated-timestamps", "str-timestamp", "float-timestamp",
+        "one-resolution", "str-resolution"])
 def test_read_sample_rejects_a_bad_manifest(tmp_path, edit, error, match):
     samples, _ = desk_samples()
     data_files.write_sample(samples[0], tmp_path)
@@ -337,6 +368,14 @@ def run_cli(argv):
 
 def test_cli_config_error_exit_code(tmp_path):
     assert run_cli(["train", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("section", ["rgb_encoder", "event_encoder", "text", "fusion"])
+def test_cli_removed_activation_key_is_config_error(tmp_path, capsys, section):
+    path = write_tiny(tmp_path, **{section: {**TINY[section], "activation": "gelu"}})
+    assert run_cli(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: ") and "activation" in err
 
 
 def test_cli_eval_missing_checkpoint_is_io_error(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from evfusion import autodiff as ad
 from evfusion.autodiff import Tensor
-from evfusion.encoders import (EncoderConfig, TokenSequence, bilinear_resize,
+from evfusion.encoders import (EncoderConfig, bilinear_resize,
                                encode_clip, encoder_forward,
                                event_frame_to_rgb, init_encoder_params,
                                patchify_embed)
@@ -50,7 +50,7 @@ def test_patchify_shapes():
     cfg = EncoderConfig(image_size=32, patch_size=8, dim=64)
     store = make_encoder(cfg)
     seq = patchify_embed(random_frame(np.random.default_rng(0)), cfg, store, "enc")
-    assert seq.tokens.shape == (17, 64)
+    assert seq.shape == (17, 64)
 
 
 def test_patchify_full_scale_shape():
@@ -58,7 +58,7 @@ def test_patchify_full_scale_shape():
     store = make_encoder(cfg)
     frame = np.random.default_rng(1).uniform(size=(224, 224, 3))
     seq = patchify_embed(frame, cfg, store, "enc")
-    assert seq.tokens.shape == (197, 768)
+    assert seq.shape == (197, 768)
 
 
 def test_patchify_zero_image_zero_weights_gives_embeddings_only():
@@ -68,7 +68,7 @@ def test_patchify_zero_image_zero_weights_gives_embeddings_only():
     store["enc.patch.b"].data[:] = 0.0
     seq = patchify_embed(np.zeros((16, 16, 3)), cfg, store, "enc")
     expected = np.vstack([store["enc.cls"].data, np.zeros((4, 8))]) + store["enc.pos"].data
-    assert np.array_equal(seq.tokens.data, expected)
+    assert np.array_equal(seq.data, expected)
 
 
 def test_patchify_rejects_nonfinite_pixels():
@@ -92,8 +92,8 @@ def test_encoder_depth_zero_is_identity():
     cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=0)
     store = make_encoder(cfg)
     tokens = Tensor(np.random.default_rng(3).normal(size=(5, 8)))
-    out = encoder_forward(TokenSequence(tokens, "vision"), cfg, store, "enc")
-    assert np.array_equal(out.tokens.data, tokens.data)
+    out = encoder_forward(tokens, cfg, store, "enc")
+    assert np.array_equal(out.data, tokens.data)
 
 
 def test_encoder_preserves_shape():
@@ -103,16 +103,15 @@ def test_encoder_preserves_shape():
                             depth=depth)
         store = make_encoder(cfg)
         tokens = Tensor(rng.normal(size=(7, 16)))
-        out = encoder_forward(TokenSequence(tokens, "vision"), cfg, store, "enc")
-        assert out.tokens.shape == (7, 16)
+        out = encoder_forward(tokens, cfg, store, "enc")
+        assert out.shape == (7, 16)
 
 
 def test_encoder_dim_mismatch():
     cfg = EncoderConfig(image_size=16, patch_size=8, dim=16, heads=2)
     store = make_encoder(cfg)
     with pytest.raises(ContractError):
-        encoder_forward(TokenSequence(Tensor(np.zeros((3, 8))), "vision"),
-                        cfg, store, "enc")
+        encoder_forward(Tensor(np.zeros((3, 8))), cfg, store, "enc")
 
 
 def test_single_block_matches_straight_line_oracle():
@@ -144,8 +143,8 @@ def test_single_block_matches_straight_line_oracle():
     h2 = ln(x1, store["enc.block0.ln2.gain"].data, store["enc.block0.ln2.bias"].data)
     expected = x1 + lin(gelu(lin(h2, "mlp1")), "mlp2")
 
-    out = encoder_forward(TokenSequence(Tensor(x), "vision"), cfg, store, "enc")
-    assert np.max(np.abs(out.tokens.data - expected)) < 1e-10
+    out = encoder_forward(Tensor(x), cfg, store, "enc")
+    assert np.max(np.abs(out.data - expected)) < 1e-10
 
 
 def test_encode_clip_lengths_and_independence():
@@ -156,7 +155,7 @@ def test_encode_clip_lengths_and_independence():
     clip = VideoClip(frames, np.arange(5) * 1000)
     seqs = encode_clip(clip, cfg, store, "enc")
     assert len(seqs) == 5
-    assert all(s.tokens.shape == (5, 8) for s in seqs)
+    assert all(s.shape == (5, 8) for s in seqs)
 
     single = encode_clip(VideoClip(frames[:1], [0]), cfg, store, "enc")
     assert len(single) == 1
@@ -166,7 +165,7 @@ def test_encode_clip_lengths_and_independence():
     permuted = encode_clip(VideoClip([frames[i] for i in perm],
                                      np.arange(5) * 1000), cfg, store, "enc")
     for j, i in enumerate(perm):
-        assert np.array_equal(permuted[j].tokens.data, seqs[i].tokens.data)
+        assert np.array_equal(permuted[j].data, seqs[i].data)
 
 
 def test_encode_clip_empty_rejected():
@@ -207,6 +206,6 @@ def test_gradient_flows_through_frozen_encoder():
     def loss():
         seq = patchify_embed(frame, cfg, store, "enc")
         out = encoder_forward(seq, cfg, store, "enc")
-        return ad.sum_all(ad.matmul(ad.mean_rows(out.tokens), readout))
+        return ad.sum_all(ad.matmul(ad.mean_rows(out), readout))
 
     assert finite_diff_check(loss, [readout], eps=1e-4) < 1e-3

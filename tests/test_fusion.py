@@ -3,7 +3,7 @@ import pytest
 
 from evfusion import autodiff as ad
 from evfusion.autodiff import Tensor, backward
-from evfusion.encoders import EncoderConfig, TokenSequence
+from evfusion.encoders import EncoderConfig
 from evfusion.errors import ContractError, DimensionError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import (AblationSwitches, FusionConfig, Model,
@@ -25,8 +25,8 @@ def make_fusion(cfg=None, n_classes=4, seed=0):
     return cfg, store
 
 
-def rand_seq(rng, n, modality="vision"):
-    return TokenSequence(Tensor(rng.normal(size=(n, DIM))), modality)
+def rand_seq(rng, n):
+    return Tensor(rng.normal(size=(n, DIM)))
 
 
 def tiny_model_config(n_frames_unused=None):
@@ -52,11 +52,10 @@ def tiny_sample(seed=0):
 def test_multimodal_transformer_split_back_shapes():
     cfg, store = make_fusion()
     rng = np.random.default_rng(1)
-    mod, text = multimodal_transformer(rand_seq(rng, 7), rand_seq(rng, 4, "text"),
+    mod, text = multimodal_transformer(rand_seq(rng, 7), rand_seq(rng, 4),
                                        store, "fusion.mt_vt", cfg)
-    assert mod.tokens.shape == (7, DIM)
-    assert text.tokens.shape == (4, DIM)
-    assert mod.modality == "vision" and text.modality == "text"
+    assert mod.shape == (7, DIM)
+    assert text.shape == (4, DIM)
 
 
 def test_multimodal_transformer_text_participates():
@@ -64,58 +63,56 @@ def test_multimodal_transformer_text_participates():
     cfg, store = make_fusion()
     rng = np.random.default_rng(2)
     mod = rand_seq(rng, 5)
-    t1, t2 = rand_seq(rng, 4, "text"), rand_seq(rng, 4, "text")
+    t1, t2 = rand_seq(rng, 4), rand_seq(rng, 4)
     a, _ = multimodal_transformer(mod, t1, store, "fusion.mt_vt", cfg)
     b, _ = multimodal_transformer(mod, t2, store, "fusion.mt_vt", cfg)
-    assert not np.array_equal(a.tokens.data, b.tokens.data)
+    assert not np.array_equal(a.data, b.data)
 
 
 def test_multimodal_transformer_width_mismatch():
     cfg, store = make_fusion()
-    bad = TokenSequence(Tensor(np.zeros((3, DIM + 1))), "vision")
+    bad = Tensor(np.zeros((3, DIM + 1)))
     with pytest.raises(DimensionError):
-        multimodal_transformer(bad, TokenSequence(Tensor(np.zeros((2, DIM))),
-                                                  "text"),
+        multimodal_transformer(bad, Tensor(np.zeros((2, DIM))),
                                store, "fusion.mt_vt", cfg)
 
 
 def test_fuse_vision_event_shape_and_permutation_equivariance():
     cfg, store = make_fusion()
     rng = np.random.default_rng(3)
-    fv, fe = rand_seq(rng, 6), rand_seq(rng, 5, "event")
+    fv, fe = rand_seq(rng, 6), rand_seq(rng, 5)
     fused = fuse_vision_event(fv, fe, store, "fusion.sa_ve", cfg)
-    assert fused.tokens.shape == (11, DIM)
+    assert fused.shape == (11, DIM)
 
     # no positional encoding: permuting the rows permutes the output rows
-    joined = np.vstack([fv.tokens.data, fe.tokens.data])
+    joined = np.vstack([fv.data, fe.data])
     perm = rng.permutation(11)
     permuted = fuse_vision_event(
-        TokenSequence(Tensor(joined[perm][:6]), "vision"),
-        TokenSequence(Tensor(joined[perm][6:]), "event"),
+        Tensor(joined[perm][:6]),
+        Tensor(joined[perm][6:]),
         store, "fusion.sa_ve", cfg)
-    assert np.max(np.abs(permuted.tokens.data - fused.tokens.data[perm])) < 1e-10
+    assert np.max(np.abs(permuted.data - fused.data[perm])) < 1e-10
 
 
 def test_cross_attention_single_fused_row_is_residual_plus_value():
     cfg, store = make_fusion()
     rng = np.random.default_rng(4)
-    text = rand_seq(rng, 4, "text")
+    text = rand_seq(rng, 4)
     fused = rand_seq(rng, 1)
     out = cross_attention(text, fused, store, "fusion.ca_vt", cfg)
     # one key -> attention weight 1 -> output = text + v(fused_row)
-    v = (fused.tokens.data @ store["fusion.ca_vt.wv.w"].data
+    v = (fused.data @ store["fusion.ca_vt.wv.w"].data
          + store["fusion.ca_vt.wv.b"].data)
-    expected = text.tokens.data + np.repeat(v, 4, axis=0)
-    assert np.max(np.abs(out.tokens.data - expected)) < 1e-10
+    expected = text.data + np.repeat(v, 4, axis=0)
+    assert np.max(np.abs(out.data - expected)) < 1e-10
 
 
 def test_cross_attention_one_row_per_class():
     cfg, store = make_fusion()
     rng = np.random.default_rng(5)
-    out = cross_attention(rand_seq(rng, 4, "text"), rand_seq(rng, 9),
+    out = cross_attention(rand_seq(rng, 4), rand_seq(rng, 9),
                           store, "fusion.ca_vt", cfg)
-    assert out.tokens.shape == (4, DIM)
-    assert out.modality == "text"
+    assert out.shape == (4, DIM)
 
 
 def test_classify_zero_weights_gives_bias():
@@ -123,8 +120,8 @@ def test_classify_zero_weights_gives_bias():
     store["fusion.clf.w"].data[:] = 0.0
     store["fusion.clf.b"].data[:] = np.arange(4.0)
     rng = np.random.default_rng(6)
-    logits, pooled = classify(rand_seq(rng, 5), rand_seq(rng, 4, "text"),
-                              rand_seq(rng, 4, "text"), store, "fusion", cfg)
+    logits, pooled = classify(rand_seq(rng, 5), rand_seq(rng, 4),
+                              rand_seq(rng, 4), store, "fusion", cfg)
     assert logits.shape == (1, 4)
     assert np.array_equal(logits.data, [[0.0, 1.0, 2.0, 3.0]])
     assert pooled.shape == (1, DIM)
@@ -233,3 +230,15 @@ def test_gradients_flow_to_all_trainable_fusion_params():
         if name == "fusion.free_tokens":
             continue  # unused when the text branch is on
         assert t.grad is not None and np.abs(t.grad).sum() > 0, name
+
+
+def test_frozen_encoders_record_no_tape_outside_no_grad():
+    model = Model(tiny_model_config(), seed=6)
+    sample = tiny_sample()
+    for t in model.encode_sample(sample):
+        assert not t.requires_grad and t._parents == ()
+    model.store.zero_grad()
+    backward(ad.sum_all(model.forward(sample)))
+    encoder_params = [n for n in model.store.names() if n.startswith(("rgb.", "event."))]
+    assert encoder_params and all(model.store[n].grad is None for n in encoder_params)
+    assert model.store["fusion.clf.w"].grad is not None

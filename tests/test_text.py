@@ -66,18 +66,17 @@ def test_encode_labels_shape():
     tpl = PromptTemplate("The action is {}")
     cfg, vocab, store = make_branch(tpl)
     seq = encode_labels(LABELS, tpl, cfg, vocab, store, "text")
-    assert seq.tokens.shape == (4, 16)
-    assert seq.modality == "text"
+    assert seq.shape == (4, 16)
 
 
 def test_encode_labels_row_independence():
     # row i depends only on label i: reordering labels permutes rows
     tpl = PromptTemplate("The action is {}")
     cfg, vocab, store = make_branch(tpl)
-    base = encode_labels(LABELS, tpl, cfg, vocab, store, "text").tokens.data
+    base = encode_labels(LABELS, tpl, cfg, vocab, store, "text").data
     perm = [2, 0, 3, 1]
     shuffled = encode_labels([LABELS[i] for i in perm], tpl, cfg, vocab,
-                             store, "text").tokens.data
+                             store, "text").data
     for j, i in enumerate(perm):
         assert np.array_equal(shuffled[j], base[i])
 
@@ -110,16 +109,16 @@ def test_different_templates_give_different_tokens():
                               for t in (t1, t2) for lb in LABELS])
     store = ParamStore()
     init_text_params(store, "text", cfg, vocab, np.random.default_rng(3))
-    a = encode_labels(LABELS, t1, cfg, vocab, store, "text").tokens.data
-    b = encode_labels(LABELS, t2, cfg, vocab, store, "text").tokens.data
+    a = encode_labels(LABELS, t1, cfg, vocab, store, "text").data
+    b = encode_labels(LABELS, t2, cfg, vocab, store, "text").data
     assert not np.array_equal(a, b)
 
 
 def test_encoding_deterministic():
     tpl = PromptTemplate("A photo of a {}")
     cfg, vocab, store = make_branch(tpl)
-    a = encode_labels(LABELS, tpl, cfg, vocab, store, "text").tokens.data
-    b = encode_labels(LABELS, tpl, cfg, vocab, store, "text").tokens.data
+    a = encode_labels(LABELS, tpl, cfg, vocab, store, "text").data
+    b = encode_labels(LABELS, tpl, cfg, vocab, store, "text").data
     assert np.array_equal(a, b)
 
 
@@ -129,7 +128,7 @@ def test_gradient_reaches_embedding_rows():
     tpl = PromptTemplate(NONE_TEMPLATE)
     cfg, vocab, store = make_branch(tpl)
     seq = encode_labels(LABELS, tpl, cfg, vocab, store, "text")
-    ad.backward(ad.sum_all(seq.tokens))
+    ad.backward(ad.sum_all(seq))
     emb = store["text.embed"]
     assert emb.grad is not None
     used = {i for lb in LABELS for i in tokenize(lb, vocab, cfg.max_len)
