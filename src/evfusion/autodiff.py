@@ -3,13 +3,15 @@
 Tensors wrap row-major float64 numpy arrays. Every differentiable
 operation records its parents and a backward closure on the output,
 forming an acyclic define-by-run tape, except inside ``no_grad``.
-``backward`` walks the tape in reverse topological order exactly once per
-node and accumulates gradients into ``Tensor.grad`` of the leaves.
+``backward`` visits each node reachable from the loss once, in decreasing
+creation order, and accumulates gradients into ``Tensor.grad`` of the
+leaves.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 import math
 from typing import Callable, Sequence
@@ -96,17 +98,12 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may be a single row broadcast over a's rows."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape and not (b.shape[0] == 1 and b.shape[1] == a.shape[1]):
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
     data = a.data + b.data
@@ -119,7 +116,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data * b.data
@@ -131,13 +127,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
     return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
@@ -157,7 +151,6 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form GELU approximation."""
-    a = _as_tensor(a)
     x = a.data
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
@@ -171,26 +164,8 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction."""
-    a = _as_tensor(a)
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError("softmax_rows: non-finite input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        # row Jacobian diag(s) - s s^T applied to g
-        dot = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _make(s, (a,), backward)
-
-
 def logsumexp_rows(a: Tensor) -> Tensor:
     """Row-wise log(sum(exp)), stable; output shape (m, 1)."""
-    a = _as_tensor(a)
     m = a.data.max(axis=1, keepdims=True)
     e = np.exp(a.data - m)
     z = e.sum(axis=1, keepdims=True)
@@ -205,7 +180,6 @@ def logsumexp_rows(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance, then gain*x + bias."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     n = x.shape[1]
     if gain.data.size != n or bias.data.size != n:
         raise DimensionError(
@@ -231,7 +205,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def concat_rows(*parts: Tensor) -> Tensor:
-    parts = tuple(_as_tensor(p) for p in parts)
     width = parts[0].shape[1]
     for p in parts:
         if p.shape[1] != width:
@@ -248,7 +221,6 @@ def concat_rows(*parts: Tensor) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
     if not (0 <= start < stop <= a.shape[0]):
         raise ContractError(f"slice_rows: bad range [{start}:{stop}) for {a.shape}")
     data = a.data[start:stop].copy()
@@ -261,15 +233,8 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def split_rows(a: Tensor, n_first: int) -> tuple[Tensor, Tensor]:
-    """Exact inverse of concat_rows for two blocks."""
-    a = _as_tensor(a)
-    return slice_rows(a, 0, n_first), slice_rows(a, n_first, a.shape[0])
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over the row axis; (m, n) -> (1, n)."""
-    a = _as_tensor(a)
     m = a.shape[0]
     data = a.data.mean(axis=0, keepdims=True)
 
@@ -280,7 +245,6 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     data = np.array([[a.data.sum()]])
 
     def backward(g):
@@ -291,7 +255,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 def take_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a table (embedding lookup); backward scatter-adds."""
-    table = _as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ContractError("take_rows: indices must be one-dimensional")
@@ -315,7 +278,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
     writes that share of the output's columns. Inside attention_weights(),
     each head's row-stochastic weights are appended to its list.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (tk, dv), d = v.shape, q.shape[1]
     if k.shape != (tk, d) or heads < 1 or d % heads or dv % heads:
         raise DimensionError(
@@ -352,7 +314,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse-sweep from a scalar loss.
+    """Reverse-sweep from a scalar loss, visiting nodes in decreasing creation order.
 
     Accumulates into .grad of every leaf (requires_grad tensor with no
     backward rule) reachable from the loss and returns {node_id: gradient}
@@ -364,46 +326,26 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     if not loss.requires_grad:
         return {}
 
-    # iterative post-order topological sort
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node.node_id in seen:
-            continue
-        seen.add(node.node_id)
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and p.node_id not in seen:
-                stack.append((p, False))
-
+    # _make numbers every output after its parents, so each node's consumers
+    # have larger ids: popping the largest pending id reaches a node only after
+    # every contribution to its gradient has arrived.
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for node in reversed(order):
-        if node._backward is None or node.node_id not in grads:
+    heap: list[tuple[int, Tensor]] = [(-loss.node_id, loss)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        if node._backward is None:  # a leaf keeps its entry in grads
+            g = grads[node.node_id]
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         g = grads.pop(node.node_id)
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             if parent.node_id in grads:
                 grads[parent.node_id] = grads[parent.node_id] + pg
             else:
                 grads[parent.node_id] = pg
-
-    # only leaf gradients are left in grads
-    for node in order:
-        g = grads.get(node.node_id)
-        if g is None:
-            continue
-        if node.grad is None:
-            node.grad = g.copy()
-        else:
-            node.grad = node.grad + g
+                heapq.heappush(heap, (-parent.node_id, parent))
     return grads
 
 

@@ -104,13 +104,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    ckpt = _checkpoint_path(args, cfg)
-    if not ckpt.exists():
-        print(f"checkpoint not found: {ckpt}", file=sys.stderr)
-        return EXIT_IO
-    train_set, eval_set = make_datasets(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
-    model.store.load(ckpt)
+    model.store.load(_checkpoint_path(args, cfg))
+    train_set, eval_set = make_datasets(cfg)
     metrics = evaluate(eval_set or train_set, model, cfg.switches)
     _write_json(out / "eval_metrics.json",
                 {k: metrics[k] for k in
@@ -211,14 +207,10 @@ def cmd_grad_check(args) -> int:
 def cmd_dump_embeddings(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    ckpt = _checkpoint_path(args, cfg)
-    if not ckpt.exists():
-        print(f"checkpoint not found: {ckpt}", file=sys.stderr)
-        return EXIT_IO
+    model = Model(cfg.model_config(), seed=cfg.seed)
+    model.store.load(_checkpoint_path(args, cfg))
     train_set, eval_set = make_datasets(cfg)
     dataset = train_set if args.split == "train" else (eval_set or train_set)
-    model = Model(cfg.model_config(), seed=cfg.seed)
-    model.store.load(ckpt)
     ft = model.text_tokens(cfg.switches)
     path = out / f"embeddings_{args.split}.csv"
     with path.open("w", newline="") as fh:

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .events import (EventStream, Sample, VideoClip, parse_events_binary,
-                     parse_events_csv, write_events_binary, write_events_csv)
+from .events import (Sample, VideoClip, parse_events_binary, parse_events_csv,
+                     write_events_binary, write_events_csv)
 
 
 def write_ppm(frame: np.ndarray, path: str | Path) -> None:
@@ -99,8 +99,10 @@ def read_sample(directory: str | Path) -> Sample:
     clip = VideoClip(frames, np.asarray(timestamps, np.int64))
     if event_format == "csv":
         events = parse_events_csv(directory / "events.csv", tuple(resolution))
-    else:
+    elif event_format == "binary":
         events = parse_events_binary(directory / "events.bin")
+    else:
+        raise ParseError(f"{directory}: event_format {event_format!r} is not 'csv' or 'binary'")
     if len(events) != n_events:
         raise ValidationError(f"{directory}: {len(events)} events, the manifest says {n_events}")
     return Sample(clip, events, label, sample_id)

@@ -153,17 +153,6 @@ def write_events_binary(stream: EventStream, path: str | Path) -> None:
         fh.write(rec.tobytes())
 
 
-def parse_events(path: str | Path, fmt: str,
-                 resolution: tuple[int, int] | None = None) -> EventStream:
-    if fmt == "csv":
-        if resolution is None:
-            raise ContractError("csv parsing requires an explicit resolution")
-        return parse_events_csv(path, resolution)
-    if fmt == "binary":
-        return parse_events_binary(path)
-    raise ContractError(f"unknown event format {fmt!r}")
-
-
 # ---------------------------------------------------------------------------
 # frame alignment
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def multimodal_transformer(modality: Tensor, text: Tensor, store: ParamStore,
     x = ad.concat_rows(modality, text)
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
-    return ad.split_rows(x, modality.shape[0])
+    n = modality.shape[0]
+    return ad.slice_rows(x, 0, n), ad.slice_rows(x, n, x.shape[0])
 
 
 def fuse_vision_event(fv: Tensor, fe: Tensor, store: ParamStore,

@@ -115,7 +115,7 @@ def encode_one_label(label: str, tpl: PromptTemplate, cfg: TextConfig,
     x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, n_real))
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
-    pooled = ad.matmul(Tensor(np.full((1, n_real), 1.0 / n_real)), x)
+    pooled = ad.mean_rows(x)
     return blocks.linear(store, f"{prefix}.proj", pooled)
 
 

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from evfusion import autodiff as ad
 from evfusion import cli
@@ -16,8 +15,8 @@ from evfusion.autodiff import Tensor, backward
 from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                              SWEEP_TEMPLATES, load_config, make_datasets)
 from evfusion.encoders import EncoderConfig, patchify_embed, init_encoder_params
-from evfusion.events import (EventStream, MotionClass, SynthSpec, VideoClip,
-                             event_counts, simulate_dvs, synth_dataset)
+from evfusion.events import (EventStream, MotionClass, VideoClip, event_counts,
+                             simulate_dvs)
 from evfusion.fusion import Model
 from evfusion.gradcheck import (END_TO_END_TOL, PRIMITIVE_TOL, run_gradcheck)
 from evfusion.params import ParamStore

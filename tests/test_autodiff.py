@@ -44,33 +44,44 @@ def test_matmul_backward():
     assert np.array_equal(b.grad, [[1.0], [2.0]])
 
 
+def attention_softmax(x) -> np.ndarray:
+    """Row-wise softmax of x as scaled_dot_attention computes it: one query
+    [[1.0]] against a row laid out as a column of keys has that row as its
+    logits, and attention_weights() hands back the softmax of them."""
+    with ad.attention_weights() as weights:
+        for row in np.asarray(x, dtype=float):
+            ad.scaled_dot_attention(Tensor([[1.0]]), Tensor(row.reshape(-1, 1)),
+                                    Tensor(np.zeros((row.size, 1))))
+    return np.vstack([w.data for w in weights])
+
+
 def test_softmax_symmetry():
-    out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
-    assert np.array_equal(out.data, [[0.5, 0.5]])
+    out = attention_softmax([[0.0, 0.0]])
+    assert np.array_equal(out, [[0.5, 0.5]])
 
 
 def test_softmax_large_values_no_overflow():
-    out = ad.softmax_rows(Tensor([[1000.0, 1000.0]]))
-    assert np.all(np.isfinite(out.data))
-    assert np.array_equal(out.data, [[0.5, 0.5]])
+    out = attention_softmax([[1000.0, 1000.0]])
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out, [[0.5, 0.5]])
 
 
 def test_softmax_direct_exponentiation_oracle():
     x = np.array([[1.0, 2.0, 3.0]])
     expected = np.exp(x) / np.exp(x).sum()
-    out = ad.softmax_rows(Tensor(x))
-    assert np.max(np.abs(out.data - expected)) < 1e-12
+    out = attention_softmax(x)
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_softmax_nonfinite_input_raises():
     with pytest.raises(NumericError):
-        ad.softmax_rows(Tensor([[1.0, np.nan]]))
+        attention_softmax([[1.0, np.nan]])
 
 
 def test_softmax_rows_sum_to_one_and_in_range():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        out = ad.softmax_rows(Tensor(rng.normal(scale=5, size=(4, 7)))).data
+        out = attention_softmax(rng.normal(scale=5, size=(4, 7)))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
 
@@ -79,8 +90,8 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 5))
     for c in (-100.0, 0.37, 42.0):
-        a = ad.softmax_rows(Tensor(x)).data
-        b = ad.softmax_rows(Tensor(x + c)).data
+        a = attention_softmax(x)
+        b = attention_softmax(x + c)
         assert np.max(np.abs(a - b)) < 1e-12
         assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
 
@@ -130,7 +141,7 @@ def test_concat_split_rows_inverse_bit_exact():
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(4, 3))
     joined = ad.concat_rows(Tensor(a), Tensor(b))
-    top, bottom = ad.split_rows(joined, 2)
+    top, bottom = ad.slice_rows(joined, 0, 2), ad.slice_rows(joined, 2, 6)
     assert np.array_equal(top.data, a)
     assert np.array_equal(bottom.data, b)
 
@@ -185,7 +196,7 @@ def test_forward_determinism():
     x = rng.normal(size=(4, 4))
 
     def f(arr):
-        return ad.softmax_rows(ad.matmul(Tensor(arr), Tensor(arr.T))).data
+        return attention_softmax(ad.matmul(Tensor(arr), Tensor(arr.T)).data)
 
     assert np.array_equal(f(x), f(x))
 
@@ -372,6 +383,55 @@ def test_backward_on_model_tape_fills_leaves_only():
     assert len(inner) > 10 and all(n.grad is None for n in inner)
     assert {n.node_id for n in leaves} == {x.node_id} | {t.node_id for t in store.tensors()}
     assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+
+
+def test_model_tape_numbers_every_node_after_its_parents():
+    from evfusion.config import load_config, make_datasets
+    from evfusion.fusion import Model
+    from evfusion.trainer import cross_entropy
+    # lvm off makes the encoders shallow and trainable, so they are on the tape
+    cfg = load_config(None, {
+        "data.samples_per_class": 1, "data.frames": 2, "data.resolution": [16, 16],
+        "rgb_encoder.image_size": 16, "rgb_encoder.dim": 16, "rgb_encoder.heads": 2,
+        "event_encoder.image_size": 16, "event_encoder.dim": 16, "event_encoder.heads": 2,
+        "text.dim": 16, "text.heads": 2, "fusion.dim": 16, "fusion.heads": 2,
+        "switches.lvm": False,
+    })
+    sample = make_datasets(cfg)[0][0]
+    model = Model(cfg.model_config(), seed=0)
+    loss = cross_entropy(model.forward(sample, cfg.switches), sample.label)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.node_id not in nodes:
+            nodes[node.node_id] = node
+            stack.extend(node._parents)
+    on_tape = {n.split(".")[0] for n in model.store.names()
+               if model.store[n].node_id in nodes}
+    assert {"rgb", "event", "text", "fusion"} <= on_tape
+    assert all(p.node_id < n.node_id for n in nodes.values() for p in n._parents)
+
+
+def test_backward_through_a_long_chain():
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    y = x
+    for _ in range(10_000):
+        y = ad.add(y, x)
+    grads = backward(ad.sum_all(y))
+    assert np.array_equal(x.grad, [[10_001.0, 10_001.0]])
+    assert set(grads) == {x.node_id}
+
+
+def test_backward_leaf_with_consumers_combined_out_of_creation_order():
+    x = Tensor([[3.0, -1.0]], requires_grad=True)
+    c = ad.scale(x, 5.0)
+    a = ad.mul(x, x)
+    b = ad.scale(x, -2.0)
+    # d/dx (b + a + c) = -2 + 2x + 5
+    loss = ad.sum_all(ad.add(ad.add(b, a), c))
+    grads = backward(loss)
+    assert np.array_equal(x.grad, [[9.0, 1.0]])
+    assert set(grads) == {x.node_id}
 
 
 def test_no_grad_records_no_tape_and_restores_recording():

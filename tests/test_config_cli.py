@@ -332,9 +332,10 @@ def test_dataset_roundtrip(tmp_path, fmt):
      "must hold integers"),
     (lambda doc: doc.update(resolution=[16]), ValidationError, "not two positive integers"),
     (lambda doc: doc.update(resolution=["a", 16]), ParseError, "must hold integers"),
+    (lambda doc: doc.update(event_format="aedat"), ParseError, "event_format 'aedat'"),
 ], ids=["truncated", "no-n_frames", "no-event_format", "int-timestamps", "str-n_frames",
         "n_events", "timestamps", "repeated-timestamps", "str-timestamp", "float-timestamp",
-        "one-resolution", "str-resolution"])
+        "one-resolution", "str-resolution", "unknown-event_format"])
 def test_read_sample_rejects_a_bad_manifest(tmp_path, edit, error, match):
     samples, _ = desk_samples()
     data_files.write_sample(samples[0], tmp_path)
@@ -378,9 +379,12 @@ def test_cli_removed_activation_key_is_config_error(tmp_path, capsys, section):
     assert err.startswith(f"config error: {section}: ") and "activation" in err
 
 
-def test_cli_eval_missing_checkpoint_is_io_error(tmp_path):
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+def test_cli_eval_missing_checkpoint_is_io_error(tmp_path, monkeypatch, capsys, command):
     path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
-    assert run_cli(["eval", "--config", str(path)]) == 3
+    monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
+    assert run_cli([command, "--config", str(path)]) == 3
+    assert "model.ckpt" in capsys.readouterr().err
 
 
 def test_cli_synth_data(tmp_path, capsys):

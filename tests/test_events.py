@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from evfusion.errors import ContractError, ParseError, ValidationError
 from evfusion.events import (EventStream, MotionClass, SynthSpec, VideoClip,
-                             event_counts, parse_events, parse_events_csv,
+                             event_counts, parse_events_csv,
                              parse_events_binary, simulate_dvs, stack_events,
                              synth_dataset, write_events_binary,
                              write_events_csv)
@@ -103,14 +103,6 @@ def test_binary_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ParseError):
         parse_events_binary(path)
-
-
-def test_parse_events_dispatch(tmp_path):
-    path = tmp_path / "e.csv"
-    path.write_text("x,y,t,p\n1,1,5,1\n")
-    assert len(parse_events(path, "csv", (4, 4))) == 1
-    with pytest.raises(ContractError):
-        parse_events(path, "aedat")
 
 
 def test_parse_csv_malformed_row_after_blank_line_reports_its_line(tmp_path):

@@ -10,7 +10,7 @@ from evfusion.autodiff import Tensor, backward
 from evfusion.encoders import EncoderConfig
 from evfusion.errors import ContractError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
-from evfusion.fusion import AblationSwitches, FusionConfig, Model, ModelConfig
+from evfusion.fusion import FusionConfig, Model, ModelConfig
 from evfusion.text import PromptTemplate, TextConfig
 from evfusion.trainer import (OptimConfig, TrainState, adamw_step, cosine_lr,
                               cross_entropy, evaluate, topk_hit, train)
