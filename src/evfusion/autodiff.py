@@ -126,11 +126,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")

@@ -24,7 +24,7 @@ from .config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
 from .errors import ConfigError, ParseError, ValidationError
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
-from .trainer import evaluate, train
+from .trainer import evaluate, head_rows, train
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -32,18 +32,26 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+_OPTIONAL_FLAGS = {
+    "checkpoint": dict(help="parameter checkpoint path"),
+    "template": dict(help="override the prompt template"),
+    "epochs": dict(type=int, help="override optim.epochs"),
+}
+
+
+def _flags(p: argparse.ArgumentParser, *optional: str) -> None:
+    """--config, --seed and --out, plus the named flags the subcommand reads."""
     p.add_argument("--config", help="path to a JSON run config")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="override the output directory")
-    p.add_argument("--checkpoint", help="parameter checkpoint path")
-    p.add_argument("--template", help="override the prompt template")
-    p.add_argument("--epochs", type=int, help="override optim.epochs")
+    for name in optional:
+        p.add_argument(f"--{name}", **_OPTIONAL_FLAGS[name])
 
 
 def _load(args) -> RunConfig:
     overrides = {"seed": args.seed, "out_dir": args.out,
-                 "template": args.template, "optim.epochs": args.epochs}
+                 "template": getattr(args, "template", None),
+                 "optim.epochs": getattr(args, "epochs", None)}
     return load_config(args.config, overrides)
 
 
@@ -211,17 +219,14 @@ def cmd_dump_embeddings(args) -> int:
     model.store.load(_checkpoint_path(args, cfg))
     train_set, eval_set = make_datasets(cfg)
     dataset = train_set if args.split == "train" else (eval_set or train_set)
-    ft = model.text_tokens(cfg.switches)
+    encodings = (model.encode_sample(s) for s in dataset)
+    _, pooled = head_rows(model, encodings, model.text_tokens(cfg.switches), cfg.switches)
     path = out / f"embeddings_{args.split}.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        dim = cfg.fusion.dim
-        writer.writerow(["sample_id", "label"] + [f"f{i}" for i in range(dim)])
-        for sample in dataset:
-            fv, fe = model.encode_sample(sample)
-            _, pooled = model.head(fv, fe, ft, cfg.switches)
-            writer.writerow([sample.sample_id, sample.label]
-                            + [repr(v) for v in pooled.data.reshape(-1)])
+        writer.writerow(["sample_id", "label"] + [f"f{i}" for i in range(cfg.fusion.dim)])
+        for sample, row in zip(dataset, pooled.data.tolist()):
+            writer.writerow([sample.sample_id, sample.label] + row)
     print(f"wrote {len(dataset)} rows to {path}")
     return EXIT_OK
 
@@ -235,45 +240,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-data", help="generate the synthetic dataset on disk")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--event-format", choices=["csv", "binary"], default="csv")
     p.set_defaults(fn=cmd_synth_data)
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
-    _common_flags(p)
+    _flags(p, "checkpoint", "template", "epochs")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint, write top-5 scores")
-    _common_flags(p)
+    _flags(p, "checkpoint", "template")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the six component-switch patterns")
-    _common_flags(p)
+    _flags(p, "template", "epochs")
     p.add_argument("--seeds", type=int, default=1,
                    help="repetitions per pattern")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("sweep-frames", help="train/eval across frame counts")
-    _common_flags(p)
+    _flags(p, "template", "epochs")
     p.add_argument("--frame-counts", type=int, nargs="+",
                    default=SWEEP_FRAME_COUNTS)
     p.set_defaults(fn=cmd_sweep_frames)
 
     p = sub.add_parser("sweep-prompts", help="train/eval across prompt templates")
-    _common_flags(p)
+    _flags(p, "epochs")
     p.add_argument("--templates", nargs="+", default=SWEEP_TEMPLATES)
     p.set_defaults(fn=cmd_sweep_prompts)
 
     p = sub.add_parser("grad-check", help="finite-difference verification gate")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one backward rule (negative control)")
     p.set_defaults(fn=cmd_grad_check)
 
     p = sub.add_parser("dump-embeddings", help="export pooled features as CSV")
-    _common_flags(p)
+    _flags(p, "checkpoint", "template")
     p.add_argument("--split", choices=["train", "eval"], default="train")
     p.set_defaults(fn=cmd_dump_embeddings)
+    for p in sub.choices.values():  # full names only: --template must not mean --templates
+        p.allow_abbrev = False
     return parser
 
 

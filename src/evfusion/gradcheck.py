@@ -42,8 +42,6 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
         lambda: _weighted_sum(ad.add(x, y), w), [x, y], PRIMITIVE_EPS)
     results["mul"] = finite_diff_check(
         lambda: _weighted_sum(ad.mul(x, y), w), [x, y], PRIMITIVE_EPS)
-    results["scale"] = finite_diff_check(
-        lambda: _weighted_sum(ad.scale(x, -1.7), w), [x], PRIMITIVE_EPS)
 
     row = Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
     results["add_row_broadcast"] = finite_diff_check(

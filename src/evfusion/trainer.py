@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,28 +40,26 @@ class OptimConfig:
 @dataclass
 class TrainState:
     step: int = 0
-    epoch: int = 0
-    current_lr: float = 0.0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] in stable log-sum-exp form."""
-    n = logits.data.size
-    if not (0 <= target < n):
-        raise ContractError(f"target {target} out of range for {n} classes")
-    onehot = np.zeros((n, 1))
-    onehot[target, 0] = 1.0
-    picked = ad.matmul(logits, Tensor(onehot))
-    lse = ad.logsumexp_rows(logits)
-    return ad.add(lse, ad.scale(picked, -1.0))
+def cross_entropy(logits: Tensor, targets: int | Sequence[int]) -> Tensor:
+    """Per-row -log softmax(logits)[target] in stable log-sum-exp form.
 
-
-def softmax_scores(logits: np.ndarray) -> np.ndarray:
-    flat = logits.reshape(-1)
-    e = np.exp(flat - flat.max())
-    return e / e.sum()
+    logits is (B, L) and targets an int or a length-B label sequence;
+    returns the (B, 1) column of per-row losses."""
+    b, n = logits.shape
+    labels = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if labels.shape != (b,):
+        raise ContractError(f"{labels.size} targets for {b} rows of logits")
+    bad = labels[(labels < 0) | (labels >= n)]
+    if bad.size:
+        raise ContractError(f"target {bad[0]} out of range for {n} classes")
+    neg_onehot = np.zeros((b, n))
+    neg_onehot[np.arange(b), labels] = -1.0
+    neg_picked = ad.matmul(ad.mul(logits, Tensor(neg_onehot)), Tensor(np.ones((n, 1))))
+    return ad.add(ad.logsumexp_rows(logits), neg_picked)
 
 
 def adamw_step(model: Model, state: TrainState, lr: float,
@@ -88,7 +87,6 @@ def adamw_step(model: Model, state: TrainState, lr: float,
         v_hat = v / (1 - b2**t)
         p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
                   - lr * cfg.weight_decay * p.data)
-    state.current_lr = lr
 
 
 def cosine_lr(step: int, total_steps: int, cfg: OptimConfig) -> float:
@@ -110,6 +108,16 @@ def _cache_encodings(model: Model, dataset: list[Sample]) -> list[tuple[np.ndarr
     return cached
 
 
+def head_rows(model: Model, encodings: Iterable[tuple[Tensor, Tensor]], ft: Tensor,
+              switches: AblationSwitches) -> tuple[Tensor, Tensor]:
+    """Run the fusion head on each (fv, fe) pair; returns the stacked
+    (N, L) logits and (N, d) pooled features. This is the one per-sample
+    loop after the encoders: losses and metrics work on whole batches."""
+    rows = [model.head(fv, fe, ft, switches) for fv, fe in encodings]
+    return (ad.concat_rows(*(logits for logits, _ in rows)),
+            ad.concat_rows(*(pooled for _, pooled in rows)))
+
+
 def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
                 cache: list[tuple[np.ndarray, np.ndarray]] | None,
                 switches: AblationSwitches, state: TrainState, lr: float,
@@ -117,25 +125,17 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
     """One optimizer step on dataset[idx]: per-sample losses and correct
     count. The step's tape is freed on return, before the next forward."""
     model.store.zero_grad()
-    ft = model.text_tokens(switches)
-    losses, hits = [], 0
-    for i in idx:
-        sample = dataset[i]
-        if cache is not None:
-            fv, fe = Tensor(cache[i][0]), Tensor(cache[i][1])
-        else:
-            fv, fe = model.encode_sample(sample)
-        logits, _ = model.head(fv, fe, ft, switches)
-        losses.append(cross_entropy(logits, sample.label))
-        if int(np.argmax(logits.data)) == sample.label:
-            hits += 1
-    batch_loss = losses[0]
-    for extra in losses[1:]:
-        batch_loss = ad.add(batch_loss, extra)
-    batch_loss = ad.scale(batch_loss, 1.0 / len(losses))
-    ad.backward(batch_loss)
+    if cache is not None:
+        encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
+    else:
+        encodings = (model.encode_sample(dataset[i]) for i in idx)
+    logits, _ = head_rows(model, encodings, model.text_tokens(switches), switches)
+    labels = np.array([dataset[i].label for i in idx])
+    losses = cross_entropy(logits, labels)
+    ad.backward(ad.mean_rows(losses))
     adamw_step(model, state, lr, cfg)
-    return [float(loss.data[0, 0]) for loss in losses], hits
+    hits = int(np.sum(np.argmax(logits.data, axis=1) == labels))
+    return losses.data[:, 0].tolist(), hits
 
 
 def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
@@ -163,7 +163,6 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        state.epoch = epoch
         perm = rng.permutation(n)
         epoch_losses: list[float] = []
         hits = 0
@@ -178,7 +177,7 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
         train_top1 = hits / n
         record = {
             "epoch": epoch,
-            "lr": state.current_lr,
+            "lr": lr,
             "train_loss": float(np.mean(epoch_losses)),
             "train_top1": train_top1,
             "eval_top1": None,
@@ -195,13 +194,6 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
     return log
 
 
-def topk_hit(logits: np.ndarray, target: int, k: int) -> bool:
-    """Target among the k largest logits; ties broken by lower class index."""
-    flat = logits.reshape(-1)
-    order = np.lexsort((np.arange(flat.size), -flat))
-    return target in order[:k]
-
-
 @ad.no_grad()
 def evaluate(dataset: list[Sample], model: Model,
              switches: AblationSwitches | None = None) -> dict:
@@ -211,33 +203,28 @@ def evaluate(dataset: list[Sample], model: Model,
         raise ContractError("dataset must be nonempty")
     switches = switches or AblationSwitches()
     n_classes = model.cfg.n_classes
+    encodings = (model.encode_sample(s) for s in dataset)
+    logits = head_rows(model, encodings, model.text_tokens(switches), switches)[0].data
+    labels = np.array([s.label for s in dataset])
+    order = np.argsort(-logits, axis=1, kind="stable")  # ties: lower class first
+    pred = np.argmax(logits, axis=1)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    scores = e / e.sum(axis=1, keepdims=True)
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    top1 = top5 = 0
-    per_sample = []
-    ft = model.text_tokens(switches)
-    for sample in dataset:
-        fv, fe = model.encode_sample(sample)
-        logits, _ = model.head(fv, fe, ft, switches)
-        flat = logits.data.reshape(-1)
-        pred = int(np.argmax(flat))
-        confusion[sample.label, pred] += 1
-        top1 += int(pred == sample.label)
-        top5 += int(topk_hit(flat, sample.label, 5))
-        scores = softmax_scores(flat)
-        order = np.lexsort((np.arange(flat.size), -flat))
-        per_sample.append({
-            "sample_id": sample.sample_id,
-            "label": sample.label,
-            "pred": pred,
-            "scores": scores.tolist(),
-            "top5": [[int(c), float(scores[c])] for c in order[:5]],
-        })
+    np.add.at(confusion, (labels, pred), 1)
+    per_sample = [{
+        "sample_id": sample.sample_id,
+        "label": sample.label,
+        "pred": int(pred[i]),
+        "scores": scores[i].tolist(),
+        "top5": [[int(c), float(scores[i, c])] for c in order[i, :5]],
+    } for i, sample in enumerate(dataset)]
     class_total = confusion.sum(axis=1)
     per_class = [float(confusion[c, c] / class_total[c]) if class_total[c] else None
                  for c in range(n_classes)]
     return {
-        "top1": top1 / len(dataset),
-        "top5": top5 / len(dataset),
+        "top1": int(np.sum(pred == labels)) / len(dataset),
+        "top5": int(np.sum(order[:, :5] == labels[:, None])) / len(dataset),
         "per_class_accuracy": per_class,
         "confusion": confusion.tolist(),
         "per_sample": per_sample,

@@ -424,9 +424,9 @@ def test_backward_through_a_long_chain():
 
 def test_backward_leaf_with_consumers_combined_out_of_creation_order():
     x = Tensor([[3.0, -1.0]], requires_grad=True)
-    c = ad.scale(x, 5.0)
+    c = ad.mul(x, Tensor([[5.0, 5.0]]))
     a = ad.mul(x, x)
-    b = ad.scale(x, -2.0)
+    b = ad.mul(x, Tensor([[-2.0, -2.0]]))
     # d/dx (b + a + c) = -2 + 2x + 5
     loss = ad.sum_all(ad.add(ad.add(b, a), c))
     grads = backward(loss)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from evfusion import autodiff as ad
 from evfusion import cli, data_files
 from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                              SWEEP_TEMPLATES, classes_from_labels,
@@ -11,6 +12,7 @@ from evfusion.errors import ConfigError, ParseError, ValidationError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import Model
 from evfusion.params import ParamStore
+from evfusion.trainer import head_rows
 
 
 TINY = {
@@ -430,6 +432,34 @@ def test_cli_dump_embeddings(tmp_path):
     rows = (out / "embeddings_train.csv").read_text().splitlines()
     assert rows[0].startswith("sample_id,label,f0")
     assert len(rows) == 1 + 4  # header + train samples
+    cfg = load_config(path)
+    model = Model(cfg.model_config(), seed=cfg.seed)
+    model.store.load(out / "model.ckpt")
+    train_set, _ = make_datasets(cfg)
+    with ad.no_grad():
+        encodings = [model.encode_sample(s) for s in train_set]
+        _, pooled = head_rows(model, encodings, model.text_tokens(cfg.switches), cfg.switches)
+    for row, sample, want in zip(rows[1:], train_set, pooled.data.tolist()):
+        sample_id, label, *features = row.split(",")
+        assert (sample_id, int(label)) == (sample.sample_id, sample.label)
+        assert [float(f) for f in features] == want
+
+
+UNREAD_FLAGS = [
+    ("synth-data", "--template"), ("synth-data", "--epochs"), ("synth-data", "--checkpoint"),
+    ("eval", "--epochs"), ("ablate", "--checkpoint"), ("sweep-frames", "--checkpoint"),
+    ("sweep-prompts", "--template"), ("sweep-prompts", "--checkpoint"),
+    ("grad-check", "--template"), ("grad-check", "--epochs"), ("grad-check", "--checkpoint"),
+    ("dump-embeddings", "--epochs"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [ParseError, ValidationError])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -13,7 +14,7 @@ from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import FusionConfig, Model, ModelConfig
 from evfusion.text import PromptTemplate, TextConfig
 from evfusion.trainer import (OptimConfig, TrainState, adamw_step, cosine_lr,
-                              cross_entropy, evaluate, topk_hit, train)
+                              cross_entropy, evaluate, train)
 
 LABELS = ["square moving right", "square moving left",
           "disc moving up", "disc moving down"]
@@ -70,6 +71,26 @@ def test_cross_entropy_target_out_of_range():
         cross_entropy(Tensor(np.zeros((1, 4))), 4)
     with pytest.raises(ContractError):
         cross_entropy(Tensor(np.zeros((1, 4))), -1)
+    with pytest.raises(ContractError):
+        cross_entropy(Tensor(np.zeros((3, 4))), [0, 1])
+    with pytest.raises(ContractError):
+        cross_entropy(Tensor(np.zeros((2, 4))), 0)
+
+
+def test_cross_entropy_batch_equals_single_rows_bit_exact():
+    rng = np.random.default_rng(1)
+    x = rng.normal(scale=3.0, size=(5, 7))
+    labels = [3, 0, 6, 3, 1]
+    batch = Tensor(x, requires_grad=True)
+    losses = cross_entropy(batch, labels)
+    assert losses.shape == (5, 1)
+    backward(ad.sum_all(losses))
+    for i, label in enumerate(labels):
+        row = Tensor(x[i:i + 1], requires_grad=True)
+        loss = cross_entropy(row, label)
+        backward(loss)
+        assert loss.data[0, 0] == losses.data[i, 0]
+        assert np.array_equal(row.grad, batch.grad[i:i + 1])
 
 
 def test_cross_entropy_stable_for_extreme_logits():
@@ -159,15 +180,23 @@ def test_cosine_lr_contracts():
 
 # -- top-k and evaluation ------------------------------------------------------
 
-def test_topk_hit_basics_and_tie_breaking():
-    logits = np.array([3.0, 1.0, 2.0, 0.0])
-    assert topk_hit(logits, 0, 1)
-    assert not topk_hit(logits, 2, 1)
-    assert topk_hit(logits, 2, 2)
-    # exact tie: the lower class index wins the top-1 slot
-    tied = np.array([1.0, 1.0, 0.0])
-    assert topk_hit(tied, 0, 1)
-    assert not topk_hit(tied, 1, 1)
+def test_evaluate_topk_basics_and_tie_breaking():
+    # a zero classifier weight makes every sample's logits equal the bias
+    model = tiny_model(labels=[f"shape moving {d}" for d in "abcdefg"])
+    model.store["fusion.clf.w"].data[:] = 0.0
+    model.store["fusion.clf.b"].data[:] = [3.0, 1.0, 2.0, 0.0, 3.0, -1.0, -2.0]
+    sample = tiny_dataset(samples_per_class=1)[0]
+    labels = [0, 4, 2, 6]
+    data = [dataclasses.replace(sample, label=lb, sample_id=f"s{lb}") for lb in labels]
+    metrics = evaluate(data, model)
+    ranked = [[c for c, _ in rec["top5"]] for rec in metrics["per_sample"]]
+    assert ranked == [[0, 4, 2, 1, 3]] * 4
+    # exact tie of classes 0 and 4: the lower class index wins the top-1 slot
+    assert [rec["pred"] for rec in metrics["per_sample"]] == [0, 0, 0, 0]
+    # labels 0, 4, 2, 6: a k=1 hit; a k=1 miss that is a k=2 hit; top-5 hit and miss
+    assert 4 in ranked[1][:2] and 2 in ranked[2] and 6 not in ranked[3]
+    assert metrics["top1"] == 1 / 4 and metrics["top5"] == 3 / 4
+    assert np.asarray(metrics["confusion"])[:, 0].tolist() == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_evaluate_fields_and_confusion_consistency():
@@ -227,6 +256,47 @@ def test_train_deterministic_across_runs():
         assert a["train_top1"] == b["train_top1"]
         assert a["lr"] == b["lr"]
     assert np.array_equal(finals[0], finals[1])
+
+
+def per_sample_step(model, dataset, idx, cache, switches, state, lr, cfg):
+    """Reference step: one cross_entropy per sample, an add chain, then 1/B."""
+    model.store.zero_grad()
+    ft = model.text_tokens(switches)
+    losses, hits = [], 0
+    for i in idx:
+        sample = dataset[i]
+        if cache is not None:
+            fv, fe = Tensor(cache[i][0]), Tensor(cache[i][1])
+        else:
+            fv, fe = model.encode_sample(sample)
+        logits, _ = model.head(fv, fe, ft, switches)
+        losses.append(cross_entropy(logits, sample.label))
+        hits += int(np.argmax(logits.data)) == sample.label
+    batch_loss = losses[0]
+    for extra in losses[1:]:
+        batch_loss = ad.add(batch_loss, extra)
+    backward(ad.mul(batch_loss, Tensor([[1.0 / len(losses)]])))
+    adamw_step(model, state, lr, cfg)
+    return [float(loss.data[0, 0]) for loss in losses], hits
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_train_matches_per_sample_reference_step(monkeypatch, cached):
+    if not cached:  # force the path that re-encodes every step
+        monkeypatch.setattr(trainer, "_cache_encodings", lambda m, d: None)
+    data = tiny_dataset()
+    cfg = OptimConfig(epochs=3, batch_size=3, seed=4)  # 8 samples: a ragged last batch
+    runs = []
+    for step in (trainer._train_step, per_sample_step):
+        monkeypatch.setattr(trainer, "_train_step", step)
+        model = tiny_model(seed=6)
+        log = train(data, model, cfg, eval_dataset=data[:3])
+        runs.append(([{k: v for k, v in r.items() if k != "wall_ms"} for r in log],
+                     {n: t.data.copy() for n, t in model.store.items()}))
+    (log, params), (ref_log, ref_params) = runs
+    assert log == ref_log
+    assert params.keys() == ref_params.keys()
+    assert all(np.array_equal(params[n], ref_params[n]) for n in params)
 
 
 def test_train_encoder_cache_matches_uncached(monkeypatch):
