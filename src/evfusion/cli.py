@@ -20,11 +20,12 @@ from . import autodiff as ad
 from . import data_files
 from .config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                      SWEEP_TEMPLATES, RunConfig, config_to_dict, load_config,
-                     make_datasets)
+                     make_datasets, validate)
 from .errors import ConfigError, ParseError, ValidationError
+from .events import Sample
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
-from .trainer import evaluate, head_rows, train
+from .trainer import EncodingMemo, evaluate, head_rows, train
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -37,6 +38,13 @@ _OPTIONAL_FLAGS = {
     "template": dict(help="override the prompt template"),
     "epochs": dict(type=int, help="override optim.epochs"),
 }
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _flags(p: argparse.ArgumentParser, *optional: str) -> None:
@@ -69,11 +77,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _train_and_eval(cfg: RunConfig) -> tuple[Model, list[dict], dict]:
-    train_set, eval_set = make_datasets(cfg)
+def _train_and_eval(cfg: RunConfig, datasets: tuple[list[Sample], list[Sample]],
+                    memo: EncodingMemo) -> tuple[Model, list[dict], dict]:
+    """Train on cfg's (train, eval) datasets, then evaluate; frozen
+    encodings come from the command's memo."""
+    train_set, eval_set = datasets
     model = Model(cfg.model_config(), seed=cfg.seed)
-    log = train(train_set, model, cfg.optim, cfg.switches)
-    metrics = evaluate(eval_set or train_set, model, cfg.switches)
+    log = train(train_set, model, cfg.optim, cfg.switches, memo=memo)
+    metrics = evaluate(eval_set or train_set, model, cfg.switches, memo)
     return model, log, metrics
 
 
@@ -97,7 +108,7 @@ def cmd_synth_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
-    model, log, metrics = _train_and_eval(cfg)
+    model, log, metrics = _train_and_eval(cfg, make_datasets(cfg), EncodingMemo())
     with (out / "metrics.jsonl").open("w") as fh:
         for record in log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -127,15 +138,20 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
+    memo = EncodingMemo()
+    seed_cfgs = []
+    for r in range(args.seeds):
+        seed_cfg = copy.deepcopy(cfg)
+        seed_cfg.seed = cfg.seed + r
+        seed_cfg.optim.seed = cfg.optim.seed + r
+        seed_cfgs.append((seed_cfg, make_datasets(seed_cfg)))
     rows = []
     for pattern in ABLATION_PATTERNS:
         accs = []
-        for r in range(args.seeds):
-            row_cfg = copy.deepcopy(cfg)
+        for seed_cfg, datasets in seed_cfgs:
+            row_cfg = copy.deepcopy(seed_cfg)
             row_cfg.switches = AblationSwitches(**pattern)
-            row_cfg.seed = cfg.seed + r
-            row_cfg.optim.seed = cfg.optim.seed + r
-            _, _, metrics = _train_and_eval(row_cfg)
+            _, _, metrics = _train_and_eval(row_cfg, datasets, memo)
             accs.append(metrics["top1"])
         rows.append({
             "switches": pattern,
@@ -152,12 +168,16 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_frames(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
-    rows = []
-    for n in args.frame_counts:
-        row_cfg = copy.deepcopy(cfg)
+    row_cfgs = [copy.deepcopy(cfg) for _ in args.frame_counts]
+    for row_cfg, n in zip(row_cfgs, args.frame_counts):
         row_cfg.data.frames = n
-        _, log, metrics = _train_and_eval(row_cfg)
+        validate(row_cfg)  # every row before the first one trains
+    out = _out_dir(cfg)
+    memo = EncodingMemo()
+    rows = []
+    for row_cfg in row_cfgs:
+        n = row_cfg.data.frames
+        _, log, metrics = _train_and_eval(row_cfg, make_datasets(row_cfg), memo)
         tokens_per_frame = row_cfg.rgb_encoder.n_tokens
         rows.append({
             "frames": n,
@@ -174,12 +194,17 @@ def cmd_sweep_frames(args) -> int:
 
 def cmd_sweep_prompts(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
-    rows = []
-    for tpl in args.templates:
-        row_cfg = copy.deepcopy(cfg)
+    row_cfgs = [copy.deepcopy(cfg) for _ in args.templates]
+    for row_cfg, tpl in zip(row_cfgs, args.templates):
         row_cfg.template = tpl
-        _, log, metrics = _train_and_eval(row_cfg)
+        validate(row_cfg)  # every row before the first one trains
+    out = _out_dir(cfg)
+    memo = EncodingMemo()
+    datasets = make_datasets(cfg)  # the template does not enter the data
+    rows = []
+    for row_cfg in row_cfgs:
+        tpl = row_cfg.template
+        _, log, metrics = _train_and_eval(row_cfg, datasets, memo)
         rows.append({
             "template": tpl,
             "train_top1": log[-1]["train_top1"],
@@ -254,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the six component-switch patterns")
     _flags(p, "template", "epochs")
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=_positive_int, default=1,
                    help="repetitions per pattern")
     p.set_defaults(fn=cmd_ablate)
 

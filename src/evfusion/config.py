@@ -180,12 +180,6 @@ def load_config(path: str | Path | None = None,
     if "resolution" in data_raw:
         data_raw["resolution"] = tuple(data_raw["resolution"])
     data = _build({"classes": classes, **data_raw}, DataConfig, "data")
-    if len(data.classes) < 2:
-        raise ConfigError("data.classes: need at least 2 classes")
-    if data.samples_per_class < 1:
-        raise ConfigError("data.samples_per_class must be >= 1")
-    if data.frames < 1:
-        raise ConfigError("data.frames must be >= 1")
 
     optim_raw = dict(doc.get("optim", {}))
     if "betas" in optim_raw:
@@ -210,6 +204,12 @@ def load_config(path: str | Path | None = None,
 
 def validate(cfg: RunConfig) -> None:
     """Cross-module consistency; raises ConfigError with actionable text."""
+    if len(cfg.data.classes) < 2:
+        raise ConfigError("data.classes: need at least 2 classes")
+    if cfg.data.samples_per_class < 1:
+        raise ConfigError("data.samples_per_class must be >= 1")
+    if cfg.data.frames < 1:
+        raise ConfigError(f"data.frames must be >= 1, got {cfg.data.frames}")
     dims = {"rgb_encoder.dim": cfg.rgb_encoder.dim,
             "event_encoder.dim": cfg.event_encoder.dim,
             "text.dim": cfg.text.dim, "fusion.dim": cfg.fusion.dim}

@@ -483,3 +483,75 @@ def test_cli_eval_wrong_shape_checkpoint_is_io_error(tmp_path, capsys):
     assert run_cli(["eval", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and "'fusion.mt_vt.block0.mlp1.w'" in err
+
+
+# -- one memo and one synthesis per command ---------------------------------------
+
+def count_calls(monkeypatch, owner, name) -> list:
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_cli_ablate_encodes_each_clip_once_per_frozen_encoder(tmp_path, monkeypatch, seeds):
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
+    synths = count_calls(monkeypatch, cli, "make_datasets")
+    encodes = count_calls(monkeypatch, Model, "encode_sample")
+    assert run_cli(["ablate", "--config", str(path), "--seeds", str(seeds)]) == 0
+    assert len(synths) == seeds
+    n_train, n_eval, epochs = 4, 2, TINY["optim"]["epochs"]
+    lvm_on_rows = n_train + n_eval  # five rows share one set of frozen encoders
+    lvm_off_row = epochs * n_train + n_eval  # trainable encoders: encoded every step
+    assert len(encodes) == seeds * (lvm_on_rows + lvm_off_row)
+
+
+def test_cli_sweep_prompts_synthesises_and_encodes_once(tmp_path, monkeypatch):
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
+    synths = count_calls(monkeypatch, cli, "make_datasets")
+    encodes = count_calls(monkeypatch, Model, "encode_sample")
+    assert run_cli(["sweep-prompts", "--config", str(path)]) == 0
+    assert len(synths) == 1 and len(encodes) == 4 + 2
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_cli_ablate_rejects_seeds_below_one(tmp_path, monkeypatch, capsys, seeds):
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ablate", "--config", str(path), "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "--seeds: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["train", "--epochs", "0"], {}),
+    (["train"], {"optim": {"epochs": 0, "batch_size": 4}}),
+    (["sweep-frames", "--epochs", "-2"], {}),
+])
+def test_cli_epochs_below_one_is_config_error(tmp_path, monkeypatch, capsys, argv, extra):
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"), **extra)
+    monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
+    assert run_cli(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: optim: epochs must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv,match", [
+    (["sweep-frames", "--frame-counts", "1", "0"], "data.frames must be >= 1, got 0"),
+    (["sweep-frames", "--frame-counts", "-3"], "data.frames must be >= 1, got -3"),
+    (["sweep-prompts", "--templates", "A {}", "no placeholder"], "'no placeholder'"),
+])
+def test_cli_sweep_checks_every_value_before_the_first_row(tmp_path, monkeypatch, capsys,
+                                                           argv, match):
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
+    assert run_cli(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and match in err
+    assert not (tmp_path / "out").exists()

@@ -13,8 +13,8 @@ from evfusion.errors import ContractError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import FusionConfig, Model, ModelConfig
 from evfusion.text import PromptTemplate, TextConfig
-from evfusion.trainer import (OptimConfig, TrainState, adamw_step, cosine_lr,
-                              cross_entropy, evaluate, train)
+from evfusion.trainer import (EncodingMemo, OptimConfig, TrainState, adamw_step,
+                              cosine_lr, cross_entropy, evaluate, train)
 
 LABELS = ["square moving right", "square moving left",
           "disc moving up", "disc moving down"]
@@ -153,6 +153,8 @@ def test_optim_config_contracts():
         OptimConfig(schedule_floor_fraction=1.0)
     with pytest.raises(ContractError):
         OptimConfig(batch_size=0)
+    with pytest.raises(ContractError, match="epochs"):
+        OptimConfig(epochs=0)
 
 
 # -- schedule -----------------------------------------------------------------
@@ -283,7 +285,7 @@ def per_sample_step(model, dataset, idx, cache, switches, state, lr, cfg):
 @pytest.mark.parametrize("cached", [True, False])
 def test_train_matches_per_sample_reference_step(monkeypatch, cached):
     if not cached:  # force the path that re-encodes every step
-        monkeypatch.setattr(trainer, "_cache_encodings", lambda m, d: None)
+        monkeypatch.setattr(trainer.EncodingMemo, "encode", lambda self, m, d: None)
     data = tiny_dataset()
     cfg = OptimConfig(epochs=3, batch_size=3, seed=4)  # 8 samples: a ragged last batch
     runs = []
@@ -304,7 +306,7 @@ def test_train_encoder_cache_matches_uncached(monkeypatch):
     results = []
     for cache in (True, False):
         if not cache:  # force the path that re-encodes every step
-            monkeypatch.setattr(trainer, "_cache_encodings", lambda m, d: None)
+            monkeypatch.setattr(trainer.EncodingMemo, "encode", lambda self, m, d: None)
         model = tiny_model(seed=5)
         log = train(data, model, OptimConfig(epochs=2, batch_size=4, seed=2))
         results.append(([r["train_loss"] for r in log],
@@ -363,3 +365,77 @@ def test_train_frees_previous_step_tape_before_next_forward(monkeypatch):
     train(tiny_dataset(), model, OptimConfig(epochs=2, batch_size=4))
     assert len(loss_refs) == 4
     assert dead == [True, True, True]
+
+
+# -- frozen-encoder memo ------------------------------------------------------------
+
+def count_encodes(monkeypatch) -> list:
+    """Record the sample ids Model.encode_sample is called on."""
+    calls, real = [], Model.encode_sample
+
+    def counting(self, sample):
+        calls.append(sample.sample_id)
+        return real(self, sample)
+
+    monkeypatch.setattr(Model, "encode_sample", counting)
+    return calls
+
+
+def test_train_encodes_the_eval_set_once_over_all_epochs(monkeypatch):
+    data, held_out = tiny_dataset(), tiny_dataset(samples_per_class=1, seed=1)
+    calls = count_encodes(monkeypatch)
+    log = train(data, tiny_model(), OptimConfig(epochs=3, batch_size=4),
+                eval_dataset=held_out)
+    assert all(r["eval_top1"] is not None for r in log)
+    assert sorted(calls) == sorted(s.sample_id for s in data + held_out)
+
+
+def test_evaluate_with_a_memo_matches_evaluate_without_one():
+    data = tiny_dataset(samples_per_class=1)
+    model, memo = tiny_model(seed=2), EncodingMemo()
+    assert evaluate(data, model, memo=memo) == evaluate(data, model)
+    assert len(memo) == len(data)
+    assert evaluate(data, model, memo=memo) == evaluate(data, model)  # all hits
+    assert len(memo) == len(data)
+
+
+def test_memo_misses_after_an_in_place_parameter_edit(monkeypatch):
+    data = tiny_dataset(samples_per_class=1)
+    model, memo = tiny_model(seed=2), EncodingMemo()
+    first = evaluate(data, model, memo=memo)
+    model.store["rgb.patch.w"].data *= 3.0  # in place: same array object
+    calls = count_encodes(monkeypatch)
+    second = evaluate(data, model, memo=memo)
+    assert len(calls) == len(data)
+    assert second == evaluate(data, model)
+    assert second["per_sample"] != first["per_sample"]
+
+
+def test_memo_keys_on_the_encoder_config_not_only_its_parameters(monkeypatch):
+    data = tiny_dataset(samples_per_class=1)
+    model = tiny_model(seed=2)
+    cfg = dataclasses.replace(model.cfg, rgb=dataclasses.replace(model.cfg.rgb, heads=1))
+    other = Model(cfg, seed=2)  # same parameter shapes and values, other outputs
+    for name, t in model.store.items():
+        assert np.array_equal(t.data, other.store[name].data), name
+    memo = EncodingMemo()
+    evaluate(data, model, memo=memo)
+    calls = count_encodes(monkeypatch)
+    result = evaluate(data, other, memo=memo)
+    assert len(calls) == len(data)
+    assert result == evaluate(data, other)
+    assert result != evaluate(data, model)
+
+
+def test_memo_holds_nothing_for_trainable_encoders():
+    model = tiny_model()
+    for _, t in model.store.items():
+        t.requires_grad = True
+    memo = EncodingMemo()
+    assert memo.encode(model, tiny_dataset(samples_per_class=1)) is None
+    assert len(memo) == 0
+
+
+def test_evaluate_without_a_memo_computes_no_key(monkeypatch):
+    monkeypatch.setattr(trainer, "_digest", lambda *a: pytest.fail("key computed"))
+    evaluate(tiny_dataset(samples_per_class=1), tiny_model())
