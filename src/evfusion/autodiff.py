@@ -1,11 +1,14 @@
 """Dense-tensor reverse-mode autodiff engine.
 
-Tensors wrap row-major float64 numpy arrays. Every differentiable
-operation records its parents and a backward closure on the output,
-forming an acyclic define-by-run tape, except inside ``no_grad``.
-``backward`` visits each node reachable from the loss once, in decreasing
-creation order, and accumulates gradients into ``Tensor.grad`` of the
-leaves.
+Tensors wrap row-major float64 numpy arrays of at least two axes: the last
+two are rows and columns. ``linear``, ``add``, ``layer_norm``,
+``concat_rows``, ``reshape``, ``scaled_dot_attention`` and the elementwise
+ops also take leading batch axes (for example the frames of a clip); the
+other row ops are 2-D. Every differentiable operation records its parents
+and a backward closure on the output, forming an acyclic define-by-run
+tape, except inside ``no_grad``. ``backward`` visits each node reachable
+from the loss once, in decreasing creation order, and accumulates
+gradients into ``Tensor.grad`` of the leaves.
 """
 
 from __future__ import annotations
@@ -46,12 +49,18 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+def grad_enabled() -> bool:
+    """False inside ``no_grad``: operations record no tape."""
+    return _GRAD_ENABLED
+
+
 _ATTENTION_WEIGHTS: list | None = None
 
 
 @contextlib.contextmanager
 def attention_weights():
-    """Yield a list; each attention head's weights are appended to it in call order."""
+    """Yield a list; each attention head's 2-D weights are appended to it in
+    call order, batch-major when the attention has leading batch axes."""
     global _ATTENTION_WEIGHTS
     previous, _ATTENTION_WEIGHTS = _ATTENTION_WEIGHTS, []
     try:
@@ -102,15 +111,35 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 # primitives
 # ---------------------------------------------------------------------------
 
+def _check_2d(op: str, *tensors: Tensor) -> None:
+    """The row ops without batch axes reject N-D input rather than read a
+    batch axis as rows."""
+    for t in tensors:
+        if t.data.ndim != 2:
+            raise DimensionError(f"{op}: takes 2-D tensors, got shape {t.shape}")
+
+
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the axes along which an operand of ``shape`` was
+    broadcast, giving it that operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may be a single row broadcast over a's rows."""
-    if a.shape != b.shape and not (b.shape[0] == 1 and b.shape[1] == a.shape[1]):
+    """Elementwise sum; b may broadcast over a's leading axes and rows, so a
+    (1, n) row or a (T, n) table adds to every (T, n) matrix of a."""
+    if (b.data.ndim > a.data.ndim or b.shape[-1] != a.shape[-1]
+            or any(m not in (1, n) for m, n in zip(b.shape[::-1], a.shape[::-1]))):
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
     data = a.data + b.data
 
     def backward(g):
-        gb = g if b.shape == a.shape else g.sum(axis=0, keepdims=True)
-        return g, gb
+        return g, _sum_to(g, b.shape)
 
     return _make(data, (a, b), backward)
 
@@ -127,6 +156,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_2d("matmul", a, b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
     data = a.data @ b.data
@@ -139,6 +169,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one tape node: x is (..., d_in), w (d_in, d_out) and b
+    (1, d_out); the leading axes of x are batch axes."""
+    if w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise DimensionError(
+            f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
+    data = x.data @ w.data + b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = x.data.reshape(-1, x.shape[-1]).T @ g2
+            if _INJECT_BACKWARD_FAULT:
+                gw = gw * 1.5
+        return gx, gw, g2.sum(axis=0, keepdims=True)
+
+    return _make(data, (x, w, b), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -161,6 +212,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def logsumexp_rows(a: Tensor) -> Tensor:
     """Row-wise log(sum(exp)), stable; output shape (m, 1)."""
+    _check_2d("logsumexp_rows", a)
     m = a.data.max(axis=1, keepdims=True)
     e = np.exp(a.data - m)
     z = e.sum(axis=1, keepdims=True)
@@ -174,48 +226,72 @@ def logsumexp_rows(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then gain*x + bias."""
-    n = x.shape[1]
+    """Normalize each row (the last axis) to zero mean / unit variance, then
+    gain*x + bias; leading axes are batch axes."""
+    n = x.shape[-1]
     if gain.data.size != n or bias.data.size != n:
         raise DimensionError(
             f"layer_norm: gain/bias width must be {n}, got {gain.data.size}/{bias.data.size}")
     g_row = gain.data.reshape(1, n)
     b_row = bias.data.reshape(1, n)
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     data = xhat * g_row + b_row
 
     def backward(g):
         gy = g * g_row
-        mean_gy = gy.mean(axis=1, keepdims=True)
-        mean_gy_xhat = (gy * xhat).mean(axis=1, keepdims=True)
+        mean_gy = gy.mean(axis=-1, keepdims=True)
+        mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
-        dgain = (g * xhat).sum(axis=0, keepdims=True).reshape(gain.shape)
-        dbias = g.sum(axis=0, keepdims=True).reshape(bias.shape)
+        dgain = (g * xhat).reshape(-1, n).sum(axis=0, keepdims=True).reshape(gain.shape)
+        dbias = g.reshape(-1, n).sum(axis=0, keepdims=True).reshape(bias.shape)
         return dx, dgain, dbias
 
     return _make(data, (x, gain, bias), backward)
 
 
 def concat_rows(*parts: Tensor) -> Tensor:
-    width = parts[0].shape[1]
+    """Join along the row axis (-2). Leading axes broadcast, so a (1, n) row
+    can head every matrix of an (F, P, n) batch."""
+    width = parts[0].shape[-1]
     for p in parts:
-        if p.shape[1] != width:
+        if p.shape[-1] != width:
             raise DimensionError(
-                f"concat_rows: widths differ: {p.shape[1]} vs {width}")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+                f"concat_rows: widths differ: {p.shape[-1]} vs {width}")
+    try:
+        lead = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
+    except ValueError as exc:
+        raise DimensionError(
+            f"concat_rows: leading axes do not broadcast: {[p.shape for p in parts]}") from exc
+    data = np.concatenate([p.data if p.shape[:-2] == lead
+                           else np.broadcast_to(p.data, lead + p.shape[-2:])
+                           for p in parts], axis=-2)
+    offsets = np.cumsum([0] + [p.shape[-2] for p in parts])
 
     def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(_sum_to(g[..., offsets[i]:offsets[i + 1], :], p.shape)
+                     for i, p in enumerate(parts))
 
     return _make(data, parts, backward)
 
 
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in a new shape of at least two axes, as numpy's
+    row-major reshape; (F, T, n) -> (F * T, n) stacks the matrices' rows."""
+    data = a.data.reshape(shape)
+    if data.ndim < 2:
+        raise DimensionError(f"reshape: {shape} has fewer than two axes")
+
+    def backward(g):
+        return (g.reshape(a.shape),)
+
+    return _make(data, (a,), backward)
+
+
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    _check_2d("slice_rows", a)
     if not (0 <= start < stop <= a.shape[0]):
         raise ContractError(f"slice_rows: bad range [{start}:{stop}) for {a.shape}")
     data = a.data[start:stop].copy()
@@ -230,6 +306,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over the row axis; (m, n) -> (1, n)."""
+    _check_2d("mean_rows", a)
     m = a.shape[0]
     data = a.data.mean(axis=0, keepdims=True)
 
@@ -250,6 +327,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 def take_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of a table (embedding lookup); backward scatter-adds."""
+    _check_2d("take_rows", table)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ContractError("take_rows: indices must be one-dimensional")
@@ -266,40 +344,57 @@ def take_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     return _make(data, (table,), backward)
 
 
+def neg_pick(a: Tensor, cols: np.ndarray) -> Tensor:
+    """-a[i, cols[i]] for every row i, as a (rows, 1) column; the backward
+    scatters -g into the picked entries."""
+    _check_2d("neg_pick", a)
+    rows = np.arange(a.shape[0])
+    data = -a.data[rows, cols].reshape(-1, 1)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[rows, cols] = -g[:, 0]
+        return (full,)
+
+    return _make(data, (a,), backward)
+
+
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(width / heads)) v as one tape node.
 
-    Head h reads the h-th equal share of the columns of q, k and v and
-    writes that share of the output's columns. Inside attention_weights(),
-    each head's row-stochastic weights are appended to its list.
+    q, k and v share their leading axes, which are batch axes. Head h reads
+    the h-th equal share of the columns of q, k and v and writes that share
+    of the output's columns. Inside attention_weights(), each head's
+    row-stochastic weights are appended to its list, batch-major.
     """
-    (tk, dv), d = v.shape, q.shape[1]
-    if k.shape != (tk, d) or heads < 1 or d % heads or dv % heads:
+    (tk, dv), d, lead = v.shape[-2:], q.shape[-1], v.shape[:-2]
+    if (k.shape != lead + (tk, d) or q.shape[:-2] != lead
+            or heads < 1 or d % heads or dv % heads):
         raise DimensionError(
             f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not fit {heads} heads")
 
-    def split(x):  # (T, heads * w) -> (heads, T, w), a view
-        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+    def split(x):  # (..., T, heads * w) -> (..., heads, T, w), a view
+        return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2)
 
-    def merge(x):  # (heads, T, w) -> (T, heads * w)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    def merge(x):  # (..., heads, T, w) -> (..., T, heads * w)
+        return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1)
 
     c = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    logits = (qh @ kh.transpose(0, 2, 1)) * c
+    logits = (qh @ kh.swapaxes(-1, -2)) * c
     if not np.all(np.isfinite(logits)):
         raise NumericError("attention: non-finite logits")
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     if _ATTENTION_WEIGHTS is not None:
-        _ATTENTION_WEIGHTS.extend(Tensor(w) for w in p)
+        _ATTENTION_WEIGHTS.extend(Tensor(w) for w in p.reshape(-1, *p.shape[-2:]))
 
     def backward(g):
         gh = split(g)
-        dp = gh @ vh.transpose(0, 2, 1)
-        ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
-        return (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
-                merge(p.transpose(0, 2, 1) @ gh))
+        dp = gh @ vh.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        return (merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh),
+                merge(p.swapaxes(-1, -2) @ gh))
 
     return _make(merge(p @ vh), (q, k, v), backward)
 

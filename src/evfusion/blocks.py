@@ -1,7 +1,9 @@
 """Transformer building blocks shared by the encoders and the fusion core.
 
-All blocks operate on (tokens x dim) Tensors with pre-norm residual
-wiring. Parameters live in a ParamStore under a caller-chosen prefix.
+All blocks operate on (..., tokens, dim) Tensors with pre-norm residual
+wiring: leading axes, such as the frames of a clip, are batch axes, and
+each (tokens, dim) matrix attends only within itself. Parameters live in a
+ParamStore under a caller-chosen prefix.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ def init_linear(store: ParamStore, prefix: str, d_in: int, d_out: int,
 
 
 def linear(store: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, store[f"{prefix}.w"]), store[f"{prefix}.b"])
+    return ad.linear(x, store[f"{prefix}.w"], store[f"{prefix}.b"])
 
 
 def init_layer_norm(store: ParamStore, prefix: str, dim: int) -> None:

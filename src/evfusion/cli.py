@@ -2,7 +2,9 @@
 
 Subcommands: synth-data, train, eval, ablate, sweep-frames,
 sweep-prompts, grad-check, dump-embeddings.
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 IO error.
+Exit codes: 0 success, 1 verification failure, 2 config error, 3 IO error,
+4 numeric failure (a NumericError: non-finite values, such as NaN weights in
+a checkpoint).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import data_files
 from .config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                      SWEEP_TEMPLATES, RunConfig, config_to_dict, load_config,
                      make_datasets, validate)
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, NumericError, ParseError, ValidationError
 from .events import Sample
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 
 _OPTIONAL_FLAGS = {
@@ -319,6 +322,9 @@ def main(argv=None) -> int:
     except (OSError, ParseError, ValidationError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

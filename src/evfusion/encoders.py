@@ -3,8 +3,9 @@
 A frame is bilinearly resized to a square, cut into non-overlapping
 patches, linearly projected, prefixed with a learned class token, and
 given learned positional embeddings, then run through a stack of
-pre-norm transformer blocks. The RGB and event branches own separate
-parameter sets.
+pre-norm transformer blocks. All frames of a clip run as one batched
+(frames, tokens, dim) forward in which each frame attends only within
+itself. The RGB and event branches own separate parameter sets.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class EncoderConfig:
 
 
 def bilinear_resize(frame: np.ndarray, size: int) -> np.ndarray:
-    """Resize (H, W, C) to (size, size, C) with bilinear sampling."""
-    h, w = frame.shape[:2]
+    """Resize (..., H, W, C) to (..., size, size, C) with bilinear sampling."""
+    h, w = frame.shape[-3:-1]
     if h == size and w == size:
-        return frame.astype(np.float64)
+        return np.asarray(frame, dtype=np.float64)
     ys = (np.arange(size) + 0.5) * (h / size) - 0.5
     xs = (np.arange(size) + 0.5) * (w / size) - 0.5
     ys = np.clip(ys, 0, h - 1)
@@ -63,8 +64,8 @@ def bilinear_resize(frame: np.ndarray, size: int) -> np.ndarray:
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
     f = frame.astype(np.float64)
-    top = f[y0][:, x0] * (1 - wx) + f[y0][:, x1] * wx
-    bot = f[y1][:, x0] * (1 - wx) + f[y1][:, x1] * wx
+    top = f[..., y0, :, :][..., x0, :] * (1 - wx) + f[..., y0, :, :][..., x1, :] * wx
+    bot = f[..., y1, :, :][..., x0, :] * (1 - wx) + f[..., y1, :, :][..., x1, :] * wx
     return top * (1 - wy) + bot * wy
 
 
@@ -91,17 +92,20 @@ def init_encoder_params(store: ParamStore, prefix: str, cfg: EncoderConfig,
 
 def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
                    prefix: str) -> Tensor:
-    """Resize, patchify, project, prepend class token, add positions."""
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise ContractError(f"expected (H, W, 3) frame, got {frame.shape}")
+    """Resize, patchify, project, prepend class token, add positions.
+
+    frame is (..., H, W, 3); the result is (..., tokens, dim)."""
+    if frame.ndim < 3 or frame.shape[-1] != 3:
+        raise ContractError(f"expected (..., H, W, 3) frames, got {frame.shape}")
     if not np.all(np.isfinite(frame)):
         raise NumericError("patchify_embed: non-finite pixel values")
     img = bilinear_resize(frame, cfg.image_size)
     p = cfg.patch_size
     g = cfg.image_size // p
-    patches = (img.reshape(g, p, g, p, 3)
-                  .transpose(0, 2, 1, 3, 4)
-                  .reshape(g * g, p * p * 3))
+    lead = img.shape[:-3]
+    patches = (img.reshape(*lead, g, p, g, p, 3)
+                  .swapaxes(-4, -3)
+                  .reshape(*lead, g * g, p * p * 3))
     embedded = blocks.linear(store, f"{prefix}.patch", Tensor(patches))
     with_cls = ad.concat_rows(store[f"{prefix}.cls"], embedded)
     return ad.add(with_cls, store[f"{prefix}.pos"])
@@ -109,25 +113,22 @@ def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
 
 def encoder_forward(x: Tensor, cfg: EncoderConfig, store: ParamStore,
                     prefix: str) -> Tensor:
-    if x.shape[1] != cfg.dim:
-        raise ContractError(f"token width {x.shape[1]} != encoder dim {cfg.dim}")
+    if x.shape[-1] != cfg.dim:
+        raise ContractError(f"token width {x.shape[-1]} != encoder dim {cfg.dim}")
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
     return x
 
 
-def encode_frame(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
-                 prefix: str) -> Tensor:
-    return encoder_forward(patchify_embed(frame, cfg, store, prefix), cfg, store, prefix)
-
-
 def encode_clip(clip: VideoClip | EventFrameSequence, cfg: EncoderConfig,
-                store: ParamStore, prefix: str) -> list[Tensor]:
-    """Independently encode every frame of a clip."""
+                store: ParamStore, prefix: str) -> Tensor:
+    """Encode all F frames of a clip as one (F, tokens, dim) forward; frame j
+    of the result is exactly the encoding of frame j alone."""
     if isinstance(clip, EventFrameSequence):
         frames = [event_frame_to_rgb(f) for f in clip.frames]
     else:
         frames = clip.frames
     if not frames:
         raise ContractError("encode_clip: empty clip")
-    return [encode_frame(f, cfg, store, prefix) for f in frames]
+    batch = np.stack([bilinear_resize(f, cfg.image_size) for f in frames])
+    return encoder_forward(patchify_embed(batch, cfg, store, prefix), cfg, store, prefix)

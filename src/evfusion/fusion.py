@@ -17,7 +17,7 @@ from .autodiff import Tensor
 from .encoders import EncoderConfig, encode_clip
 from .errors import ContractError, DimensionError
 from .events import Sample, stack_events
-from .params import ParamStore
+from .params import ParamStore, digest
 from .text import PromptTemplate, TextConfig, Vocabulary, encode_labels, render_prompt
 
 
@@ -145,23 +145,39 @@ class Model:
         init_encoder_params(self.store, "event", cfg.event, rng)
         init_text_params(self.store, "text", cfg.text, self.vocab, rng)
         init_fusion_params(self.store, "fusion", cfg.fusion, cfg.n_classes, rng)
+        self._text_memo: tuple[bytes, np.ndarray] | None = None
 
     # -- forward stages --------------------------------------------------
 
     def encode_sample(self, sample: Sample) -> tuple[Tensor, Tensor]:
         """Encode a sample's RGB clip and stacked event frames; each branch's
-        per-frame token sequences are concatenated along the token axis."""
+        (frames, tokens, dim) encoding is flattened frame-major to
+        (frames * tokens, dim)."""
         w, h = sample.events.resolution
         ev_frames = stack_events(sample.events, sample.clip.timestamps, (w, h))
-        fv = ad.concat_rows(*encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb"))
-        fe = ad.concat_rows(*encode_clip(ev_frames, self.cfg.event, self.store, "event"))
-        return fv, fe
+        fv = encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb")
+        fe = encode_clip(ev_frames, self.cfg.event, self.store, "event")
+        return (ad.reshape(fv, (-1, fv.shape[-1])), ad.reshape(fe, (-1, fe.shape[-1])))
 
     def text_tokens(self, switches: AblationSwitches) -> Tensor:
         """Per-class text tokens; with sci off, semantics-free learned
-        tokens of identical shape stand in."""
+        tokens of identical shape stand in.
+
+        Outside no_grad the text branch is built on the tape. Inside it the
+        (L, d) tokens depend only on the text config and the text.*
+        values, so they are computed once and served again while a digest
+        of those values is unchanged; a value written in place recomputes."""
         if not switches.sci:
             return self.store["fusion.free_tokens"]
+        if ad.grad_enabled():
+            return self._encode_labels()
+        key = digest((t.data for n, t in self.store.items() if n.startswith("text.")),
+                     self.cfg.text, self.cfg.template, self.cfg.labels)
+        if self._text_memo is None or self._text_memo[0] != key:
+            self._text_memo = (key, self._encode_labels().data)
+        return Tensor(self._text_memo[1])
+
+    def _encode_labels(self) -> Tensor:
         return encode_labels(self.cfg.labels, self.cfg.template, self.cfg.text,
                              self.vocab, self.store, "text")
 

@@ -27,7 +27,8 @@ def _weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
 
 def primitive_checks(seed: int = 0) -> dict[str, float]:
     """Max relative finite-difference error for every differentiable
-    primitive on random inputs in [-1, 1]."""
+    primitive on random inputs in [-1, 1]; the `_3d` entries give the
+    primitive a leading batch axis."""
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
@@ -86,6 +87,34 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     results["scaled_dot_attention_4_heads"] = finite_diff_check(
         lambda: _weighted_sum(ad.scaled_dot_attention(q4, k4, v4, heads=4), w4),
         [q4, k4, v4], PRIMITIVE_EPS)
+
+    results["neg_pick"] = finite_diff_check(
+        lambda: _weighted_sum(ad.neg_pick(x, np.array([3, 0, 3])), w1), [x], PRIMITIVE_EPS)
+    lw, lb = _rand(rng, 4, 2), _rand(rng, 1, 2)
+    results["linear"] = finite_diff_check(
+        lambda: _weighted_sum(ad.linear(x, lw, lb), w[:, :2]), [x, lw, lb], PRIMITIVE_EPS)
+
+    x3, table3, w3 = _rand(rng, 2, 3, 4), _rand(rng, 3, 4), rng.uniform(-1, 1, (2, 3, 4))
+    results["linear_3d"] = finite_diff_check(
+        lambda: _weighted_sum(ad.linear(x3, lw, lb), w3[..., :2]), [x3, lw, lb],
+        PRIMITIVE_EPS)
+    results["add_3d_broadcast"] = finite_diff_check(
+        lambda: _weighted_sum(ad.add(ad.add(x3, table3), row), w3), [x3, table3, row],
+        PRIMITIVE_EPS)
+    results["layer_norm_3d"] = finite_diff_check(
+        lambda: _weighted_sum(ad.layer_norm(x3, gain, bias), w3),
+        [x3, gain, bias], PRIMITIVE_EPS)
+    w7 = rng.uniform(-1, 1, (2, 7, 4))
+    results["concat_rows_3d_broadcast"] = finite_diff_check(
+        lambda: _weighted_sum(ad.concat_rows(row, x3, y), w7), [row, x3, y], PRIMITIVE_EPS)
+    results["reshape"] = finite_diff_check(
+        lambda: _weighted_sum(ad.reshape(x3, (6, 4)), w3.reshape(6, 4)), [x3],
+        PRIMITIVE_EPS)
+    q3, k3, v3 = _rand(rng, 2, 3, 8), _rand(rng, 2, 5, 8), _rand(rng, 2, 5, 12)
+    w43 = rng.uniform(-1, 1, (2, 3, 12))
+    results["scaled_dot_attention_3d_4_heads"] = finite_diff_check(
+        lambda: _weighted_sum(ad.scaled_dot_attention(q3, k3, v3, heads=4), w43),
+        [q3, k3, v3], PRIMITIVE_EPS)
     return results
 
 

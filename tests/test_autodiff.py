@@ -448,3 +448,75 @@ def test_no_grad_records_no_tape_and_restores_recording():
             raise ContractError("boom")
     recorded = ad.matmul(w, w)
     assert recorded._parents == (w, w) and recorded.requires_grad
+
+
+def test_batched_primitives_equal_per_matrix_calls():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 5, 8))
+    w, b = Tensor(rng.normal(size=(8, 8))), Tensor(rng.normal(size=(1, 8)))
+    table, cls = Tensor(rng.normal(size=(6, 8))), Tensor(rng.normal(size=(1, 8)))
+    gain, bias = Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(1, 8)))
+
+    def forward(t):
+        t = ad.add(ad.concat_rows(cls, ad.linear(t, w, b)), table)
+        t = ad.layer_norm(t, gain, bias)
+        return ad.scaled_dot_attention(t, t, t, heads=2)
+
+    with ad.attention_weights() as sink:
+        batch = forward(Tensor(x))
+    assert batch.shape == (3, 6, 8) and len(sink) == 3 * 2
+    for f in range(3):
+        with ad.attention_weights() as one_sink:
+            one = forward(Tensor(x[f]))
+        assert np.array_equal(batch.data[f], one.data)
+        for got, want in zip(sink[2 * f:2 * f + 2], one_sink):
+            assert np.array_equal(got.data, want.data)
+    flat = ad.reshape(batch, (-1, 8))
+    assert flat.shape == (18, 8) and np.array_equal(flat.data[6:12], batch.data[1])
+
+
+def test_batched_primitive_shape_contracts():
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        ad.add(x, Tensor(np.ones((3, 1))))  # no column broadcast
+    with pytest.raises(DimensionError):
+        ad.add(Tensor(np.ones((3, 4))), x)  # only b broadcasts
+    with pytest.raises(DimensionError):
+        ad.linear(x, Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))
+    with pytest.raises(DimensionError):
+        ad.linear(x, Tensor(np.ones((4, 2))), Tensor(np.ones((1, 3))))
+    with pytest.raises(DimensionError):
+        ad.concat_rows(x, Tensor(np.ones((3, 2, 4))))
+    with pytest.raises(DimensionError):
+        ad.scaled_dot_attention(x, Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))))
+    with pytest.raises(DimensionError):
+        ad.reshape(x, (24,))
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: ad.matmul(x, Tensor(np.ones((4, 2)))),
+    lambda x: ad.matmul(Tensor(np.ones((2, 2))), x),
+    ad.logsumexp_rows, ad.mean_rows,
+    lambda x: ad.slice_rows(x, 0, 1),
+    lambda x: ad.take_rows(x, [0]),
+    lambda x: ad.neg_pick(x, np.array([0, 1])),
+])
+def test_row_ops_without_batch_axes_reject_3d_input(op):
+    # (2, 4, 4) would otherwise pass as rows of a batch axis
+    with pytest.raises(DimensionError, match="takes 2-D tensors"):
+        op(Tensor(np.ones((2, 4, 4))))
+
+
+def test_linear_fault_hook_corrupts_the_weight_gradient():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    mask = Tensor(rng.normal(size=(2, 3, 2)))
+    loss = lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), mask))
+    assert finite_diff_check(loss, [w, b], eps=1e-5) < 1e-8
+    ad.set_backward_fault(True)
+    try:
+        assert finite_diff_check(loss, [w], eps=1e-5) > 1e-1
+    finally:
+        ad.set_backward_fault(False)

@@ -542,6 +542,35 @@ def test_cli_epochs_below_one_is_config_error(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err == "config error: optim: epochs must be >= 1\n"
 
 
+@pytest.mark.parametrize("optim,match", [
+    ({"betas": [1.0, 0.999]}, "betas must be two values in [0, 1), got [1.0, 0.999]"),
+    ({"betas": [0.9, -0.5]}, "betas must be two values in [0, 1)"),
+    ({"weight_decay": -0.01}, "weight_decay must be >= 0, got -0.01"),
+])
+def test_cli_bad_betas_or_weight_decay_is_config_error(tmp_path, monkeypatch, capsys,
+                                                       optim, match):
+    path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"),
+                      optim={**TINY["optim"], **optim})
+    monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
+    assert run_cli(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: optim: ") and match in err
+
+
+def test_cli_eval_of_a_nan_checkpoint_is_a_numeric_failure(tmp_path, capsys):
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out))
+    cfg = load_config(path)
+    model = Model(cfg.model_config(), seed=cfg.seed)
+    model.store["fusion.clf.w"].data[0, 0] = np.nan
+    out.mkdir()
+    model.store.save(out / "model.ckpt")
+    assert run_cli(["eval", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    assert not (out / "eval_metrics.json").exists()
+
+
 @pytest.mark.parametrize("argv,match", [
     (["sweep-frames", "--frame-counts", "1", "0"], "data.frames must be >= 1, got 0"),
     (["sweep-frames", "--frame-counts", "-3"], "data.frames must be >= 1, got -3"),

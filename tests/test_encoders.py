@@ -154,18 +154,39 @@ def test_encode_clip_lengths_and_independence():
     frames = [random_frame(rng, 16, 16) for _ in range(5)]
     clip = VideoClip(frames, np.arange(5) * 1000)
     seqs = encode_clip(clip, cfg, store, "enc")
-    assert len(seqs) == 5
-    assert all(s.shape == (5, 8) for s in seqs)
+    assert len(seqs.data) == 5
+    assert all(seqs.data[j].shape == (5, 8) for j in range(5))
 
     single = encode_clip(VideoClip(frames[:1], [0]), cfg, store, "enc")
-    assert len(single) == 1
+    assert len(single.data) == 1
 
     # permuting frame order permutes outputs identically
     perm = [3, 0, 4, 1, 2]
     permuted = encode_clip(VideoClip([frames[i] for i in perm],
                                      np.arange(5) * 1000), cfg, store, "enc")
     for j, i in enumerate(perm):
-        assert np.array_equal(permuted[j].data, seqs[i].data)
+        assert np.array_equal(permuted.data[j], seqs.data[i])
+
+
+@pytest.mark.parametrize("events", [False, True])
+def test_encode_clip_batch_equals_one_frame_calls(events):
+    # the batched forward gives exactly the arrays of one call per frame
+    cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=2)
+    store = make_encoder(cfg)
+    rng = np.random.default_rng(11)
+    if events:
+        clips = [EventFrameSequence([rng.uniform(size=(2, 12, 20)) for _ in range(4)])]
+        one = [EventFrameSequence([f]) for f in clips[0].frames]
+    else:  # frames of two sizes: each is resized before they are batched
+        frames = [random_frame(rng, 16, 16), random_frame(rng, 24, 20), random_frame(rng, 16, 16)]
+        clips = [VideoClip(frames, np.arange(3))]
+        one = [VideoClip([f], [0]) for f in frames]
+    with ad.no_grad():
+        batch = encode_clip(clips[0], cfg, store, "enc")
+        alone = [encode_clip(c, cfg, store, "enc") for c in one]
+    assert batch.shape == (len(one), cfg.n_tokens, cfg.dim)
+    for j, a in enumerate(alone):
+        assert np.array_equal(batch.data[j], a.data[0])
 
 
 def test_encode_clip_empty_rejected():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evfusion import autodiff as ad
-from evfusion import trainer
+from evfusion import fusion, trainer
 from evfusion.autodiff import Tensor, backward
 from evfusion.encoders import EncoderConfig
 from evfusion.errors import ContractError
@@ -93,6 +93,25 @@ def test_cross_entropy_batch_equals_single_rows_bit_exact():
         assert np.array_equal(row.grad, batch.grad[i:i + 1])
 
 
+def test_cross_entropy_target_pick_matches_the_onehot_matmul_form_bit_exact():
+    # one gather node replaces matmul(mul(logits, -onehot), ones): the sum
+    # it replaces has one nonzero term, so losses and gradients are equal
+    rng = np.random.default_rng(2)
+    x = rng.normal(scale=3.0, size=(6, 5))
+    labels = [4, 0, 2, 2, 1, 3]
+    neg_onehot = np.zeros((6, 5))
+    neg_onehot[np.arange(6), labels] = -1.0
+    old = Tensor(x, requires_grad=True)
+    picked = ad.matmul(ad.mul(old, Tensor(neg_onehot)), Tensor(np.ones((5, 1))))
+    old_losses = ad.add(ad.logsumexp_rows(old), picked)
+    backward(ad.mean_rows(old_losses))
+    new = Tensor(x, requires_grad=True)
+    losses = cross_entropy(new, labels)
+    backward(ad.mean_rows(losses))
+    assert np.array_equal(losses.data, old_losses.data)
+    assert np.array_equal(new.grad, old.grad)
+
+
 def test_cross_entropy_stable_for_extreme_logits():
     logits = Tensor(np.array([[1000.0, -1000.0]]))
     loss = cross_entropy(logits, 1).data[0, 0]
@@ -155,6 +174,16 @@ def test_optim_config_contracts():
         OptimConfig(batch_size=0)
     with pytest.raises(ContractError, match="epochs"):
         OptimConfig(epochs=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"betas": (1.0, 0.999)}, {"betas": (0.9, 1.0)}, {"betas": (-0.1, 0.999)},
+    {"betas": (0.9,)}, {"weight_decay": -0.01}, {"weight_decay": float("nan")},
+])
+def test_optim_config_rejects_bad_betas_and_weight_decay(kwargs):
+    with pytest.raises(ContractError, match=next(iter(kwargs))):
+        OptimConfig(**kwargs)
+    OptimConfig(betas=(0.0, 0.0), weight_decay=0.0)  # the closed ends are valid
 
 
 # -- schedule -----------------------------------------------------------------
@@ -437,5 +466,59 @@ def test_memo_holds_nothing_for_trainable_encoders():
 
 
 def test_evaluate_without_a_memo_computes_no_key(monkeypatch):
-    monkeypatch.setattr(trainer, "_digest", lambda *a: pytest.fail("key computed"))
+    # no sample key: the only digest evaluate may take is the text tokens' one
+    monkeypatch.setattr(trainer, "digest", lambda *a: pytest.fail("key computed"))
     evaluate(tiny_dataset(samples_per_class=1), tiny_model())
+
+
+# -- class text tokens -----------------------------------------------------------
+
+def count_label_encodes(monkeypatch) -> list:
+    calls, real = [], fusion.encode_labels
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "encode_labels", counting)
+    return calls
+
+
+def test_no_grad_evaluate_encodes_the_labels_once(monkeypatch):
+    data = tiny_dataset(samples_per_class=1)
+    model = tiny_model(seed=3)
+    want = evaluate(data, tiny_model(seed=3))
+    calls = count_label_encodes(monkeypatch)
+    assert evaluate(data, model) == want
+    assert evaluate(data, model) == want
+    assert len(calls) == 1
+
+
+def test_text_tokens_recomputed_after_an_in_place_text_edit(monkeypatch):
+    data = tiny_dataset(samples_per_class=1)
+    model = tiny_model(seed=3)
+    first = evaluate(data, model)
+    calls = count_label_encodes(monkeypatch)
+    model.store["text.proj.w"].data *= 3.0  # in place: same array object
+    second = evaluate(data, model)
+    assert len(calls) == 1
+    assert second["per_sample"] != first["per_sample"]
+    fresh = tiny_model(seed=3)
+    fresh.store["text.proj.w"].data *= 3.0
+    assert second == evaluate(data, fresh)
+
+
+def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
+    data = tiny_dataset(samples_per_class=1)
+    model = tiny_model(seed=3)
+    evaluate(data, model)  # fills the no-grad text tokens
+    calls = count_label_encodes(monkeypatch)
+    ft = model.text_tokens(fusion.AblationSwitches())
+    assert len(calls) == 1 and ft.requires_grad and ft._parents
+    model.store.zero_grad()
+    backward(ad.sum_all(ad.mul(ft, ft)))
+    assert np.abs(model.store["text.proj.w"].grad).sum() > 0
+    before = model.store["text.embed"].data.copy()
+    train(data, model, OptimConfig(epochs=1, batch_size=4))
+    assert len(calls) == 2
+    assert not np.array_equal(model.store["text.embed"].data, before)
