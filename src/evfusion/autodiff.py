@@ -9,6 +9,13 @@ and a backward closure on the output, forming an acyclic define-by-run
 tape, except inside ``no_grad``. ``backward`` visits each node reachable
 from the loss once, in decreasing creation order, and accumulates
 gradients into ``Tensor.grad`` of the leaves.
+
+Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
+arrays it allocated itself. It never writes into its inputs, the upstream
+gradient, the arrays its backward keeps, or the weights it hands to
+``attention_weights()``. Each in-place form performs the same floating-point
+operations, in the same order, as the plain expression, so results are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -177,7 +184,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise DimensionError(
             f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
-    data = x.data @ w.data + b.data
+    data = x.data @ w.data
+    data += b.data
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -186,7 +194,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             gw = x.data.reshape(-1, x.shape[-1]).T @ g2
             if _INJECT_BACKWARD_FAULT:
-                gw = gw * 1.5
+                gw *= 1.5
         return gx, gw, g2.sum(axis=0, keepdims=True)
 
     return _make(data, (x, w, b), backward)
@@ -198,14 +206,31 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form GELU approximation."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = x * x  # t = tanh(C * (x + 0.044715 * x**3)), built up in place
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = 0.5 * x
+    data *= 1.0 + t
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-        return (g * dx,)
+        # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t**2) * C * (1 + 3 * 0.044715 * x**2)
+        dx = 0.5 * x
+        tmp = t * t
+        np.subtract(1.0, tmp, out=tmp)
+        dx *= tmp
+        np.multiply(x, x, out=tmp)
+        tmp *= 3 * 0.044715
+        tmp += 1.0
+        tmp *= _GELU_C
+        dx *= tmp
+        np.add(1.0, t, out=tmp)
+        tmp *= 0.5
+        dx += tmp
+        dx *= g
+        return (dx,)
 
     return _make(data, (a,), backward)
 
@@ -214,10 +239,11 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     """Row-wise log(sum(exp)), stable; output shape (m, 1)."""
     _check_2d("logsumexp_rows", a)
     m = a.data.max(axis=1, keepdims=True)
-    e = np.exp(a.data - m)
-    z = e.sum(axis=1, keepdims=True)
+    soft = a.data - m
+    np.exp(soft, out=soft)
+    z = soft.sum(axis=1, keepdims=True)
     data = m + np.log(z)
-    soft = e / z
+    soft /= z
 
     def backward(g):
         return (g * soft,)
@@ -235,19 +261,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     g_row = gain.data.reshape(1, n)
     b_row = bias.data.reshape(1, n)
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * g_row + b_row
+    xhat = x.data - mu
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    data = xhat * g_row
+    data += b_row
 
     def backward(g):
+        # dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)), built in gy
         gy = g * g_row
         mean_gy = gy.mean(axis=-1, keepdims=True)
-        mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (gy - mean_gy - xhat * mean_gy_xhat)
-        dgain = (g * xhat).reshape(-1, n).sum(axis=0, keepdims=True).reshape(gain.shape)
+        tmp = gy * xhat
+        mean_gy_xhat = tmp.mean(axis=-1, keepdims=True)
+        gy -= mean_gy
+        gy -= np.multiply(xhat, mean_gy_xhat, out=tmp)
+        gy *= inv
+        dgain = np.multiply(g, xhat, out=tmp).reshape(-1, n).sum(axis=0, keepdims=True)
         dbias = g.reshape(-1, n).sum(axis=0, keepdims=True).reshape(bias.shape)
-        return dx, dgain, dbias
+        return gy, dgain.reshape(gain.shape), dbias
 
     return _make(data, (x, gain, bias), backward)
 
@@ -311,7 +342,9 @@ def mean_rows(a: Tensor) -> Tensor:
     data = a.data.mean(axis=0, keepdims=True)
 
     def backward(g):
-        return (np.repeat(g, m, axis=0) / m,)
+        full = np.repeat(g, m, axis=0)
+        full /= m
+        return (full,)
 
     return _make(data, (a,), backward)
 
@@ -376,27 +409,34 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
     def split(x):  # (..., T, heads * w) -> (..., heads, T, w), a view
         return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2)
 
-    def merge(x):  # (..., heads, T, w) -> (..., T, heads * w)
-        return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1)
+    def into(shape, a, b):  # a @ b written head by head into a new array
+        out = np.empty(shape)
+        np.matmul(a, b, out=split(out))
+        return out
 
     c = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    logits = (qh @ kh.swapaxes(-1, -2)) * c
-    if not np.all(np.isfinite(logits)):
+    p = qh @ kh.swapaxes(-1, -2)  # the logits, turned into softmax weights in place
+    p *= c
+    if not np.all(np.isfinite(p)):
         raise NumericError("attention: non-finite logits")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     if _ATTENTION_WEIGHTS is not None:
         _ATTENTION_WEIGHTS.extend(Tensor(w) for w in p.reshape(-1, *p.shape[-2:]))
 
     def backward(g):
+        # ds = p * (dp - rowsum(dp * p)) * c, built in place in dp = g v^T
         gh = split(g)
-        dp = gh @ vh.swapaxes(-1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-        return (merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh),
-                merge(p.swapaxes(-1, -2) @ gh))
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
+        return (into(q.shape, ds, kh), into(k.shape, ds.swapaxes(-1, -2), qh),
+                into(v.shape, p.swapaxes(-1, -2), gh))
 
-    return _make(merge(p @ vh), (q, k, v), backward)
+    return _make(into(v.shape[:-2] + (q.shape[-2], dv), p, vh), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +459,30 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     # _make numbers every output after its parents, so each node's consumers
     # have larger ids: popping the largest pending id reaches a node only after
     # every contribution to its gradient has arrived.
+    # A gradient's first contribution may be shared (add hands one g to both
+    # parents) or a view (concat_rows), so the first sum allocates; the ids in
+    # owned hold such sums, and later contributions are added into them.
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    owned: set[int] = set()
     heap: list[tuple[int, Tensor]] = [(-loss.node_id, loss)]
     while heap:
         _, node = heapq.heappop(heap)
         if node._backward is None:  # a leaf keeps its entry in grads
             g = grads[node.node_id]
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            if node.grad is not None:
+                node.grad = node.grad + g
+            else:
+                node.grad = g if node.node_id in owned else g.copy()
             continue
         g = grads.pop(node.node_id)
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if parent.node_id in grads:
+            if parent.node_id in owned:
+                grads[parent.node_id] += pg
+            elif parent.node_id in grads:
                 grads[parent.node_id] = grads[parent.node_id] + pg
+                owned.add(parent.node_id)
             else:
                 grads[parent.node_id] = pg
                 heapq.heappush(heap, (-parent.node_id, parent))

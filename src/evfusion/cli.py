@@ -80,6 +80,15 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _split_samples(cfg: RunConfig, split: str) -> list[Sample]:
+    """The samples of one split, the train split standing in for an empty
+    eval split; the clips of the other split are not made."""
+    if split == "eval" and not cfg.data.eval_samples_per_class:
+        split = "train"
+    train_set, eval_set = make_datasets(cfg, split=split)
+    return train_set if split == "train" else eval_set
+
+
 def _train_and_eval(cfg: RunConfig, datasets: tuple[list[Sample], list[Sample]],
                     memo: EncodingMemo) -> tuple[Model, list[dict], dict]:
     """Train on cfg's (train, eval) datasets, then evaluate; frozen
@@ -128,8 +137,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg))
-    train_set, eval_set = make_datasets(cfg)
-    metrics = evaluate(eval_set or train_set, model, cfg.switches)
+    metrics = evaluate(_split_samples(cfg, "eval"), model, cfg.switches)
     _write_json(out / "eval_metrics.json",
                 {k: metrics[k] for k in
                  ("top1", "top5", "per_class_accuracy", "confusion")})
@@ -245,8 +253,7 @@ def cmd_dump_embeddings(args) -> int:
     out = _out_dir(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg))
-    train_set, eval_set = make_datasets(cfg)
-    dataset = train_set if args.split == "train" else (eval_set or train_set)
+    dataset = _split_samples(cfg, args.split)
     encodings = (model.encode_sample(s) for s in dataset)
     _, pooled = head_rows(model, encodings, model.text_tokens(cfg.switches), cfg.switches)
     path = out / f"embeddings_{args.split}.csv"

@@ -97,16 +97,24 @@ def _shallow(cfg: EncoderConfig, depth: int) -> EncoderConfig:
     return replace(cfg, depth=depth, frozen=False)
 
 
-def make_datasets(cfg: RunConfig) -> tuple[list[Sample], list[Sample]]:
+def make_datasets(cfg: RunConfig, *,
+                  split: str | None = None) -> tuple[list[Sample], list[Sample]]:
     """Deterministic train/eval split: per class, the first
-    samples_per_class generated samples train, the rest evaluate."""
-    total = cfg.data.samples_per_class + cfg.data.eval_samples_per_class
-    all_samples = synth_dataset(cfg.synth_spec(total), cfg.seed)
+    samples_per_class generated samples train, the rest evaluate. With
+    split "train" or "eval" only that split's samples are made (the other
+    list is empty); they equal those of the full call."""
+    n_train = cfg.data.samples_per_class
+    total = n_train + cfg.data.eval_samples_per_class
+    keep = {None: None, "train": range(n_train), "eval": range(n_train, total)}
+    if split not in keep:
+        raise ContractError(f"make_datasets: unknown split {split!r}")
+    all_samples = synth_dataset(cfg.synth_spec(total), cfg.seed, keep[split])
     train, evald = [], []
     for label in range(len(cfg.data.classes)):
         block = [s for s in all_samples if s.label == label]
-        train.extend(block[:cfg.data.samples_per_class])
-        evald.extend(block[cfg.data.samples_per_class:])
+        n = 0 if split == "eval" else n_train  # an eval-only block holds no train samples
+        train.extend(block[:n])
+        evald.extend(block[n:])
     return train, evald
 
 

@@ -337,13 +337,17 @@ def _subsample_clip(fine: VideoClip, n_frames: int, oversample: int) -> VideoCli
     return VideoClip([fine.frames[i].copy() for i in idx], fine.timestamps[idx])
 
 
-def synth_dataset(spec: SynthSpec, seed: int) -> list[Sample]:
-    """Deterministic synthetic RGB+event classification dataset."""
+def synth_dataset(spec: SynthSpec, seed: int, keep: range | None = None) -> list[Sample]:
+    """Deterministic synthetic RGB+event classification dataset. With keep,
+    only each class's samples whose index is in keep are made; the others
+    are still rendered, so the kept ones are those of the full dataset."""
     rng = np.random.default_rng(seed)
     samples = []
     for label, cls in enumerate(spec.classes):
         for s in range(spec.samples_per_class):
             fine = render_motion_clip(cls, spec, rng)
+            if keep is not None and s not in keep:
+                continue
             events = simulate_dvs(fine, spec.dvs_threshold)
             clip = _subsample_clip(fine, spec.n_frames, spec.oversample)
             if spec.static_rgb:

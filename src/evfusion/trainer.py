@@ -68,7 +68,8 @@ def cross_entropy(logits: Tensor, targets: int | Sequence[int]) -> Tensor:
 
 def adamw_step(model: Model, state: TrainState, lr: float,
                cfg: OptimConfig) -> None:
-    """Decoupled-weight-decay update; frozen groups are skipped."""
+    """Decoupled-weight-decay update; frozen groups are skipped. The moments
+    in state are updated in place; each parameter gets a new array."""
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
@@ -78,19 +79,26 @@ def adamw_step(model: Model, state: TrainState, lr: float,
             continue
         if g.shape != p.data.shape:
             raise ContractError(f"gradient shape mismatch for {name}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p.data = (p.data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-                  - lr * cfg.weight_decay * p.data)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= b1  # m = b1 * m + (1 - b1) * g
+        m += (1 - b1) * g
+        v *= b2  # v = b2 * v + (1 - b2) * g * g
+        gg = (1 - b2) * g
+        gg *= g
+        v += gg
+        # p - lr * m_hat / (sqrt(v_hat) + 1e-8) - lr * weight_decay * p
+        update = m / (1 - b1**t)
+        update *= lr
+        den = np.divide(v, 1 - b2**t, out=gg)
+        np.sqrt(den, out=den)
+        den += 1e-8
+        update /= den
+        new = p.data - update
+        new -= np.multiply(lr * cfg.weight_decay, p.data, out=update)
+        p.data = new
 
 
 def cosine_lr(step: int, total_steps: int, cfg: OptimConfig) -> float:
@@ -157,7 +165,9 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
                 switches: AblationSwitches, state: TrainState, lr: float,
                 cfg: OptimConfig) -> tuple[list[float], int]:
     """One optimizer step on dataset[idx]: per-sample losses and correct
-    count. The step's tape is freed on return, before the next forward."""
+    count. The step's tape is freed on return, before the next forward.
+    Raises NumericError, updating nothing, when the batch loss or a
+    trainable gradient is not finite."""
     model.store.zero_grad()
     if cache is not None:
         encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
@@ -166,7 +176,14 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
     logits, _ = head_rows(model, encodings, model.text_tokens(switches), switches)
     labels = np.array([dataset[i].label for i in idx])
     losses = cross_entropy(logits, labels)
-    ad.backward(ad.mean_rows(losses))
+    batch_loss = ad.mean_rows(losses)
+    if not np.isfinite(batch_loss.data).all():
+        raise NumericError(f"non-finite loss {batch_loss.data[0, 0]}")
+    ad.backward(batch_loss)
+    for name, p in model.store.trainable_items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise NumericError(
+                f"non-finite gradient in the {name.split('.')[0]} group ({name})")
     adamw_step(model, state, lr, cfg)
     hits = int(np.sum(np.argmax(logits.data, axis=1) == labels))
     return losses.data[:, 0].tolist(), hits
@@ -205,8 +222,11 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
         for b in range(steps_per_epoch):
             idx = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr = cosine_lr(state.step, total_steps, cfg)
-            step_losses, step_hits = _train_step(model, dataset, idx, cache,
-                                                 switches, state, lr, cfg)
+            try:
+                step_losses, step_hits = _train_step(model, dataset, idx, cache,
+                                                     switches, state, lr, cfg)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, step {b}: {exc}") from exc
             epoch_losses += step_losses
             hits += step_hits
 

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from evfusion import autodiff as ad
 from evfusion import cli
@@ -153,6 +154,7 @@ def test_dvs_simulator_closed_form():
 
 # -- 6. overfit check ----------------------------------------------------------------
 
+@pytest.mark.slow
 def test_overfit_desk_config():
     cfg = load_config(None, {
         "data.samples_per_class": 16,     # 4 classes x 16 = 64 samples
@@ -205,6 +207,7 @@ def _zero_events(samples):
             for s in samples]
 
 
+@pytest.mark.slow
 def test_generalization_with_events_over_5_seeds():
     chance = 0.25
     full_hits = zero_hits = total = 0

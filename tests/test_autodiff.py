@@ -520,3 +520,149 @@ def test_linear_fault_hook_corrupts_the_weight_gradient():
         assert finite_diff_check(loss, [w], eps=1e-5) > 1e-1
     finally:
         ad.set_backward_fault(False)
+
+
+# -- allocation-lean kernels against the expression-tree formulas ------------
+# The primitives build their results in buffers they allocate themselves; the
+# references below are the plain numpy expressions they replaced, and every
+# output and input gradient must equal them bit for bit.
+
+def reference_attention(q, k, v, heads, g):
+    """Multi-head attention and its backward as one numpy expression per
+    step: (output, dq, dk, dv)."""
+    def split(x):
+        return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2)
+
+    def merge(x):
+        return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], -1)
+
+    c = 1.0 / math.sqrt(q.shape[-1] // heads)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    logits = (qh @ kh.swapaxes(-1, -2)) * c
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.swapaxes(-1, -2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+    return (merge(p @ vh), merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh),
+            merge(p.swapaxes(-1, -2) @ gh))
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-5):
+    n = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gy = g * gain
+    mean_gy = gy.mean(axis=-1, keepdims=True)
+    mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv * (gy - mean_gy - xhat * mean_gy_xhat),
+            (g * xhat).reshape(-1, n).sum(axis=0, keepdims=True),
+            g.reshape(-1, n).sum(axis=0, keepdims=True))
+
+
+def reference_gelu(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    dinner = c * (1.0 + 3 * 0.044715 * (x * x))
+    dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+    return 0.5 * x * (1.0 + t), g * dx
+
+
+def reference_linear(x, w, b, g):
+    g2 = g.reshape(-1, g.shape[-1])
+    return (x @ w + b, g @ w.T, x.reshape(-1, x.shape[-1]).T @ g2,
+            g2.sum(axis=0, keepdims=True))
+
+
+def forward_and_grads(op, arrays, g):
+    """op's output and the gradient of sum(output * g) for each input."""
+    ins = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*ins)
+    backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    return [out.data] + [t.grad for t in ins]
+
+
+def assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("tq,tk", [(1, 6), (7, 11), (40, 40)])
+def test_attention_bit_equals_reference(heads, lead, tq, tk):
+    rng = np.random.default_rng(tq * 10 + heads)
+    q, k = rng.normal(scale=2.0, size=lead + (tq, 16)), rng.normal(size=lead + (tk, 16))
+    v, g = rng.normal(size=lead + (tk, 8)), rng.normal(size=lead + (tq, 8))
+    got = forward_and_grads(lambda *t: ad.scaled_dot_attention(*t, heads=heads), [q, k, v], g)
+    assert_bit_equal(got, reference_attention(q, k, v, heads, g))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_layer_norm_gelu_linear_bit_equal_reference(lead):
+    rng = np.random.default_rng(len(lead))
+    x, g = rng.normal(scale=3.0, size=lead + (9, 16)), rng.normal(size=lead + (9, 16))
+    gain, bias = rng.normal(size=(1, 16)), rng.normal(size=(1, 16))
+    assert_bit_equal(forward_and_grads(ad.layer_norm, [x, gain, bias], g),
+                     reference_layer_norm(x, gain, bias, g))
+    assert_bit_equal(forward_and_grads(ad.gelu, [x], g), reference_gelu(x, g))
+    w, b, g5 = rng.normal(size=(16, 5)), rng.normal(size=(1, 5)), rng.normal(size=lead + (9, 5))
+    assert_bit_equal(forward_and_grads(ad.linear, [x, w, b], g5),
+                     reference_linear(x, w, b, g5))
+
+
+def test_primitives_write_into_no_array_they_do_not_own(monkeypatch):
+    """Every primitive_checks entry, with its inputs, each upstream gradient,
+    each output and every array a backward rule keeps made read-only: an
+    in-place write into any of them raises."""
+    from evfusion import gradcheck
+
+    def freeze(a):
+        if isinstance(a, Tensor):
+            a = a.data
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+    make = ad._make
+
+    def frozen_make(data, parents, rule):
+        def checked_rule(g):
+            freeze(g)
+            return rule(g)
+        for cell in rule.__closure__ or ():
+            contents = cell.cell_contents
+            for item in contents if isinstance(contents, (tuple, list)) else (contents,):
+                freeze(item)
+        out = make(data, parents, checked_rule)
+        freeze(out)
+        return out
+
+    calls = []
+
+    def run_read_only(f, params, eps):
+        calls.append(len(params))
+        for p in params:
+            p.zero_grad()
+            freeze(p)
+        backward(f())
+        assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in params)
+        return 0.0
+
+    monkeypatch.setattr(ad, "_make", frozen_make)
+    monkeypatch.setattr(gradcheck, "finite_diff_check", run_read_only)
+    results = gradcheck.primitive_checks(seed=5)
+    assert len(calls) == len(results) > 20 and set(results.values()) == {0.0}
+
+
+def test_backward_adds_into_no_shared_gradient():
+    # add hands one array to both of its parents; p1 then gets two more
+    # contributions from mul(p1, p1), so the first sum must be a new array
+    p1 = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
+    p2 = Tensor([[4.0, 5.0, -6.0]], requires_grad=True)
+    square = ad.mul(p1, p1)
+    both = ad.add(p1, p2)  # created later, so its gradient reaches p1 first
+    backward(ad.sum_all(ad.add(square, both)))
+    assert np.array_equal(p1.grad, [[3.0, -3.0, 7.0]])  # 2 * p1 + 1
+    assert np.array_equal(p2.grad, [[1.0, 1.0, 1.0]])

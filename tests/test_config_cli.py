@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfusion import autodiff as ad
-from evfusion import cli, data_files
+from evfusion import cli, data_files, events
 from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                              SWEEP_TEMPLATES, classes_from_labels,
                              config_to_dict, load_config, make_datasets)
-from evfusion.errors import ConfigError, ParseError, ValidationError
+from evfusion.errors import ConfigError, ContractError, ParseError, ValidationError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import Model
 from evfusion.params import ParamStore
@@ -137,6 +139,26 @@ def test_make_datasets_split_sizes_and_disjoint(tmp_path):
     train, evald = make_datasets(cfg)
     assert len(train) == 4 and len(evald) == 2
     assert {s.sample_id for s in train}.isdisjoint({s.sample_id for s in evald})
+
+
+def sample_bytes(samples):
+    return [(s.sample_id, s.label, [f.tobytes() for f in s.clip.frames],
+             s.clip.timestamps.tobytes(), s.events.resolution,
+             [getattr(s.events, f).tobytes() for f in "xytp"]) for s in samples]
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_make_datasets_one_split_equals_that_split_of_the_full_call(tmp_path, monkeypatch,
+                                                                      split):
+    cfg = load_config(write_tiny(tmp_path))
+    full = dict(zip(("train", "eval"), make_datasets(cfg)))
+    dvs = count_calls(monkeypatch, events, "simulate_dvs")
+    got = dict(zip(("train", "eval"), make_datasets(cfg, split=split)))
+    assert sample_bytes(got[split]) == sample_bytes(full[split])
+    assert got["eval" if split == "train" else "train"] == []
+    assert len(dvs) == len(full[split])  # the other split's clips get no events
+    with pytest.raises(ContractError, match="unknown split 'test'"):
+        make_datasets(cfg, split="test")
 
 
 def test_config_to_dict_json_serializable(tmp_path):
@@ -302,6 +324,41 @@ def test_read_ppm_malformed_raises_parse_error(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ParseError):
         data_files.read_ppm(path)
+
+
+_PPM_WHITESPACE = [b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"# c\n", b"#\n"]
+
+
+@st.composite
+def _ppm_ish(draw):
+    """P6 headers, half of them well formed and the rest with stray bytes,
+    bad magic or bad fields, then random pixel bytes."""
+    well_formed = draw(st.booleans())
+    gap_parts = _PPM_WHITESPACE if well_formed else _PPM_WHITESPACE + [b"#", b"x", b""]
+    gap = st.lists(st.sampled_from(gap_parts), min_size=1, max_size=3).map(b"".join)
+    size = st.integers(0, 4).map(lambda n: str(n).encode())
+    odd = st.sampled_from([b"0255", b"-1", b"65535", b"99999999999", b"2x", b""])
+    fields = [size, size, st.just(b"255")]
+    if not well_formed:
+        fields = [st.one_of(f, odd) for f in fields]
+    parts = [b"P6" if well_formed else draw(st.sampled_from([b"P6", b"P3", b"p6"]))]
+    for field in fields:
+        parts += [draw(gap), draw(field)]
+    end = st.sampled_from([b" ", b"\n"]) if well_formed else gap
+    return b"".join(parts) + draw(end) + draw(st.binary(max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=60), _ppm_ish()))
+def test_read_ppm_fuzz_only_typed_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "f.ppm"
+    path.write_bytes(raw)
+    try:
+        frame = data_files.read_ppm(path)
+    except (ParseError, ValidationError):
+        return
+    assert frame.ndim == 3 and frame.shape[2] == 3 and frame.size > 0
+    assert frame.min() >= 0.0 and frame.max() <= 1.0
 
 
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
@@ -569,6 +626,44 @@ def test_cli_eval_of_a_nan_checkpoint_is_a_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "Traceback" not in err
     assert not (out / "eval_metrics.json").exists()
+
+
+def test_cli_train_with_a_nan_weight_stops_at_step_0(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out))
+
+    class NanModel(Model):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.store["fusion.clf.w"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(cli, "Model", NanModel)
+    assert run_cli(["train", "--config", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: epoch 0, step 0: non-finite loss nan\n")
+    assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("eval_per_class", [1, 0])
+@pytest.mark.parametrize("argv", [["eval"], ["dump-embeddings", "--split", "eval"]])
+def test_cli_eval_commands_make_only_the_clips_they_read(tmp_path, monkeypatch, argv,
+                                                         eval_per_class):
+    data = {**TINY["data"], "eval_samples_per_class": eval_per_class}
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out), data=data)
+    cfg = load_config(path)
+    out.mkdir()
+    Model(cfg.model_config(), seed=cfg.seed).store.save(out / "model.ckpt")
+    train_set, eval_set = make_datasets(cfg)
+    read = eval_set or train_set  # an empty eval split falls back to train
+    dvs = count_calls(monkeypatch, events, "simulate_dvs")
+    assert run_cli(argv + ["--config", str(path)]) == 0
+    assert len(dvs) == len(read)
+    if argv[0] == "eval":
+        ids = [r["sample_id"] for r in json.loads((out / "top5_scores.json").read_text())]
+    else:
+        ids = [ln.split(",")[0] for ln in (out / "embeddings_eval.csv").read_text().split()[1:]]
+    assert ids == [s.sample_id for s in read]
 
 
 @pytest.mark.parametrize("argv,match", [

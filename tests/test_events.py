@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -186,6 +187,41 @@ def test_parse_csv_fuzz_only_typed_errors(tmp_path_factory, body):
     except (ParseError, ValidationError):
         return
     assert all(getattr(stream, f).dtype == np.int64 for f in "xytp")
+
+
+_RECORD = st.one_of(  # one packed (x, y, t, p) record
+    st.binary(min_size=13, max_size=13),
+    st.builds(lambda x, y, t, p: struct.pack("<HHqB", x, y, t, p),
+              st.integers(0, 9), st.integers(0, 9),
+              st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 1, 1, 2])))
+
+
+@st.composite
+def _binary_events_ish(draw):
+    """A header that mostly parses, a record count that mostly matches, and
+    records with in- and out-of-range pixels, polarities and timestamps."""
+    records = draw(st.lists(_RECORD, max_size=6))
+    count = draw(st.one_of(st.just(len(records)), st.integers(0, 2**32 - 1)))
+    header = struct.pack("<4sHHHI2x", draw(st.sampled_from([b"EVST", b"EVST", b"EVSU"])),
+                         draw(st.sampled_from([1, 1, 1, 0, 2])),
+                         draw(st.one_of(st.integers(0, 10), st.integers(0, 2**16 - 1))),
+                         draw(st.one_of(st.integers(0, 10), st.integers(0, 2**16 - 1))),
+                         count)
+    tail = draw(st.one_of(st.just(b""), st.binary(max_size=3)))
+    return header + b"".join(records) + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=80), _binary_events_ish()))
+def test_parse_binary_fuzz_only_typed_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "e.bin"
+    path.write_bytes(raw)
+    try:
+        stream = parse_events_binary(path)
+    except (ParseError, ValidationError):
+        return
+    assert all(getattr(stream, f).dtype == np.int64 for f in "xytp")
+    assert np.all(np.diff(stream.t) >= 0)
 
 
 def reference_csv_bytes(stream):

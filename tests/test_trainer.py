@@ -9,7 +9,7 @@ from evfusion import autodiff as ad
 from evfusion import fusion, trainer
 from evfusion.autodiff import Tensor, backward
 from evfusion.encoders import EncoderConfig
-from evfusion.errors import ContractError
+from evfusion.errors import ContractError, NumericError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import FusionConfig, Model, ModelConfig
 from evfusion.text import PromptTemplate, TextConfig
@@ -522,3 +522,57 @@ def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
     train(data, model, OptimConfig(epochs=1, batch_size=4))
     assert len(calls) == 2
     assert not np.array_equal(model.store["text.embed"].data, before)
+
+
+# -- non-finite loss or gradient ---------------------------------------------------
+
+def param_bytes(model):
+    return {n: t.data.tobytes() for n, t in model.store.items()}
+
+
+def test_train_stops_on_a_non_finite_loss_before_any_update():
+    model = tiny_model(seed=2)
+    model.store["fusion.clf.w"].data[0, 0] = np.nan
+    before = param_bytes(model)
+    with pytest.raises(NumericError, match=r"^epoch 0, step 0: non-finite loss nan$"):
+        train(tiny_dataset(), model, OptimConfig(epochs=2, batch_size=4))
+    assert param_bytes(model) == before
+
+
+@pytest.mark.parametrize("group", ["text", "fusion"])
+def test_train_stops_on_a_non_finite_gradient_naming_its_group(monkeypatch, group):
+    model = tiny_model(seed=2)
+    name = next(n for n, _ in model.store.trainable_items() if n.startswith(group + "."))
+    real, calls = ad.backward, []
+
+    def poisoned(loss):  # the second step's backward leaves one inf in name's gradient
+        grads = real(loss)
+        calls.append(loss)
+        if len(calls) == 2:
+            model.store[name].grad.reshape(-1)[0] = np.inf
+        return grads
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+    with pytest.raises(NumericError) as exc:
+        train(tiny_dataset(), model, OptimConfig(epochs=2, batch_size=4))
+    assert str(exc.value) == (f"epoch 0, step 1: non-finite gradient in the {group} "
+                              f"group ({name})")
+    # the failing step updated nothing: the parameters are those after step 0
+    monkeypatch.setattr(ad, "backward", real)
+    monkeypatch.setattr(trainer, "adamw_step", update_once(trainer.adamw_step))
+    one_step = tiny_model(seed=2)
+    with pytest.raises(NumericError, match="^epoch 0, step 1: stop$"):
+        train(tiny_dataset(), one_step, OptimConfig(epochs=2, batch_size=4))
+    assert param_bytes(model) == param_bytes(one_step)
+
+
+def update_once(step):
+    """adamw_step that updates once, then raises instead of updating again."""
+    calls = []
+
+    def once(*args, **kwargs):
+        if calls:
+            raise NumericError("stop")
+        calls.append(1)
+        return step(*args, **kwargs)
+    return once
