@@ -2,13 +2,15 @@
 
 Tensors wrap row-major float64 numpy arrays of at least two axes: the last
 two are rows and columns. ``linear``, ``add``, ``layer_norm``,
-``concat_rows``, ``reshape``, ``scaled_dot_attention`` and the elementwise
-ops also take leading batch axes (for example the frames of a clip); the
-other row ops are 2-D. Every differentiable operation records its parents
-and a backward closure on the output, forming an acyclic define-by-run
-tape, except inside ``no_grad``. ``backward`` visits each node reachable
-from the loss once, in decreasing creation order, and accumulates
-gradients into ``Tensor.grad`` of the leaves.
+``concat_rows``, ``slice_rows``, ``mean_rows``, ``reshape``,
+``scaled_dot_attention`` and the elementwise ops also take leading batch
+axes (the frames of a clip, the samples of a batch); ``matmul``,
+``logsumexp_rows``, ``take_rows`` and ``neg_pick`` are 2-D. Every
+differentiable operation records its parents and a backward closure on the
+output, forming an acyclic define-by-run tape, except inside ``no_grad``.
+``backward`` visits each node reachable from the loss once, in decreasing
+creation order, and accumulates gradients into ``Tensor.grad`` of the
+leaves.
 
 Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
 arrays it allocated itself. It never writes into its inputs, the upstream
@@ -322,27 +324,26 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    _check_2d("slice_rows", a)
-    if not (0 <= start < stop <= a.shape[0]):
+    """Rows [start, stop) of every matrix: (..., m, n) -> (..., stop - start, n)."""
+    if not (0 <= start < stop <= a.shape[-2]):
         raise ContractError(f"slice_rows: bad range [{start}:{stop}) for {a.shape}")
-    data = a.data[start:stop].copy()
+    data = a.data[..., start:stop, :].copy()
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[..., start:stop, :] = g
         return (full,)
 
     return _make(data, (a,), backward)
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the row axis; (m, n) -> (1, n)."""
-    _check_2d("mean_rows", a)
-    m = a.shape[0]
-    data = a.data.mean(axis=0, keepdims=True)
+    """Mean over the row axis of every matrix; (..., m, n) -> (..., 1, n)."""
+    m = a.shape[-2]
+    data = a.data.mean(axis=-2, keepdims=True)
 
     def backward(g):
-        full = np.repeat(g, m, axis=0)
+        full = np.repeat(g, m, axis=-2)
         full /= m
         return (full,)
 
@@ -395,13 +396,17 @@ def neg_pick(a: Tensor, cols: np.ndarray) -> Tensor:
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(width / heads)) v as one tape node.
 
-    q, k and v share their leading axes, which are batch axes. Head h reads
-    the h-th equal share of the columns of q, k and v and writes that share
-    of the output's columns. Inside attention_weights(), each head's
-    row-stochastic weights are appended to its list, batch-major.
+    k and v share their leading axes, which are batch axes; q has the same
+    ones or fewer, and a q with fewer is broadcast over the others, so one
+    (L, d) query serves a (B, T, d) batch of keys and its gradient is summed
+    over B. Head h reads the h-th equal share of the columns of q, k and v
+    and writes that share of the output's columns. Inside
+    attention_weights(), each head's row-stochastic weights are appended to
+    its list, batch-major.
     """
     (tk, dv), d, lead = v.shape[-2:], q.shape[-1], v.shape[:-2]
-    if (k.shape != lead + (tk, d) or q.shape[:-2] != lead
+    q_lead = q.shape[:-2]
+    if (k.shape != lead + (tk, d) or lead[len(lead) - len(q_lead):] != q_lead
             or heads < 1 or d % heads or dv % heads):
         raise DimensionError(
             f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not fit {heads} heads")
@@ -433,10 +438,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= c
-        return (into(q.shape, ds, kh), into(k.shape, ds.swapaxes(-1, -2), qh),
+        return (_sum_to(into(lead + q.shape[-2:], ds, kh), q.shape),
+                into(k.shape, ds.swapaxes(-1, -2), qh),
                 into(v.shape, p.swapaxes(-1, -2), gh))
 
-    return _make(into(v.shape[:-2] + (q.shape[-2], dv), p, vh), (q, k, v), backward)
+    return _make(into(lead + (q.shape[-2], dv), p, vh), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

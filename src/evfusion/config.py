@@ -3,16 +3,19 @@ switches, and optimizer, validated in a single pass."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field, asdict, replace
+import math
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .encoders import EncoderConfig
 from .errors import ConfigError, ContractError, EvFusionError
 from .events import DIRECTIONS, SHAPES, MotionClass, Sample, SynthSpec, synth_dataset
 from .fusion import AblationSwitches, FusionConfig, ModelConfig
-from .text import PromptTemplate, TextConfig
+from .text import PromptTemplate, TextConfig, render_prompt
 from .trainer import OptimConfig
 
 SWEEP_FRAME_COUNTS = [1, 3, 5, 7]
@@ -119,6 +122,8 @@ def make_datasets(cfg: RunConfig, *,
 
 
 def _parse_classes(raw) -> list[MotionClass]:
+    if not isinstance(raw, list):
+        raise ConfigError(f"data.classes: expected a list, got {raw!r:.60}")
     classes = []
     for i, entry in enumerate(raw):
         if isinstance(entry, str):
@@ -131,11 +136,10 @@ def _parse_classes(raw) -> list[MotionClass]:
                     f"shape {SHAPES} and a direction {DIRECTIONS}")
             classes.append(MotionClass(entry, shape, direction))
         else:
-            try:
-                classes.append(MotionClass(entry["label"], entry["shape"],
-                                           entry["direction"]))
-            except (KeyError, TypeError, ContractError) as exc:
-                raise ConfigError(f"data.classes[{i}]: {exc}") from exc
+            if not isinstance(entry, dict):
+                raise ConfigError(f"data.classes[{i}]: expected a string or an object, "
+                                  f"got {entry!r:.60}")
+            classes.append(_build(entry, MotionClass, f"data.classes[{i}]"))
     return classes
 
 
@@ -147,19 +151,68 @@ def classes_from_labels(labels: list[str]) -> list[MotionClass]:
             for i, lb in enumerate(labels)]
 
 
-def _build(section: dict, cls, where: str):
+def _typed(value, tp, where: str):
+    """value checked against a field annotation of int, float, bool, str or
+    a fixed-length tuple of those (given as a JSON list); float fields take
+    finite numbers, int fields no booleans."""
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{where}: expected a list of {len(args)} values, "
+                              f"got {value!r:.60}")
+        return tuple(_typed(v, t, f"{where}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, args)))
+    if tp is float:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (isinstance(value, int) or math.isfinite(value)))
+    elif tp is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, tp)
+    if not ok:
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r:.60}")
+    return value
+
+
+# the resolved field annotations of a config class, read once per class
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _build(section, cls, where: str, **given):
+    """cls from a JSON object of its fields, each type-checked; ``given``
+    holds fields already parsed."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object, got {section!r:.60}")
+    hints = _field_types(cls)
+    unknown = sorted(set(section) - set(hints))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+    missing = [f.name for f in fields(cls) if f.name not in section and f.name not in given
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing field {missing[0]!r}")
+    values = {k: _typed(v, hints[k], f"{where}.{k}") for k, v in section.items()}
     try:
-        return cls(**section)
-    except TypeError as exc:
+        return cls(**values, **given)
+    except EvFusionError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    except (ContractError, EvFusionError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read_labels(path) -> list[str]:
+    if not isinstance(path, str):
+        raise ConfigError(f"data.labels_file: expected a path string, got {path!r:.60}")
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, a NUL in the path
+        raise ConfigError(f"data.labels_file: cannot read {path!r}: {exc}") from exc
+    return [ln for ln in text.splitlines() if ln.strip()]
 
 
 def load_config(path: str | Path | None = None,
                 overrides: dict | None = None) -> RunConfig:
     """Load a JSON run config; CLI overrides replace top-level keys
-    (dotted keys reach into sections, e.g. 'optim.epochs')."""
+    (dotted keys reach into sections, e.g. 'optim.epochs'). Any malformed
+    or wrongly typed value raises ConfigError naming its field."""
     doc: dict = {}
     if path is not None:
         try:
@@ -168,43 +221,44 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {path}: expected a JSON object, "
+                              f"got {type(doc).__name__}")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if "." in key:
             section, sub = key.split(".", 1)
-            doc.setdefault(section, {})[sub] = value
+            target = doc.setdefault(section, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"{section}: expected an object, got {target!r:.60}")
+            target[sub] = value
         else:
             doc[key] = value
 
-    data_raw = dict(doc.get("data", {}))
+    data_raw = doc.get("data", {})
+    if not isinstance(data_raw, dict):
+        raise ConfigError(f"data: expected an object, got {data_raw!r:.60}")
+    data_raw = dict(data_raw)
     if "labels_file" in data_raw:
-        labels = [ln for ln in Path(data_raw.pop("labels_file"))
-                  .read_text().splitlines() if ln.strip()]
-        classes = classes_from_labels(labels)
+        classes = classes_from_labels(_read_labels(data_raw.pop("labels_file")))
     else:
         classes = _parse_classes(data_raw.pop("classes", DEFAULT_CLASSES))
     data_raw.pop("classes", None)
-    if "resolution" in data_raw:
-        data_raw["resolution"] = tuple(data_raw["resolution"])
-    data = _build({"classes": classes, **data_raw}, DataConfig, "data")
+    data = _build(data_raw, DataConfig, "data", classes=classes)
 
-    optim_raw = dict(doc.get("optim", {}))
-    if "betas" in optim_raw:
-        optim_raw["betas"] = tuple(optim_raw["betas"])
-
+    top = _field_types(RunConfig)
+    scalars = {k: _typed(doc[k], top[k], k) for k in
+               ("seed", "out_dir", "template", "shallow_encoder_depth") if k in doc}
     cfg = RunConfig(
-        seed=int(doc.get("seed", 0)),
-        out_dir=str(doc.get("out_dir", "runs/default")),
         data=data,
         rgb_encoder=_build(doc.get("rgb_encoder", {}), EncoderConfig, "rgb_encoder"),
         event_encoder=_build(doc.get("event_encoder", {}), EncoderConfig, "event_encoder"),
         text=_build(doc.get("text", {}), TextConfig, "text"),
-        template=doc.get("template", "The action of the human is {}"),
         fusion=_build(doc.get("fusion", {}), FusionConfig, "fusion"),
         switches=_build(doc.get("switches", {}), AblationSwitches, "switches"),
-        optim=_build(optim_raw, OptimConfig, "optim"),
-        shallow_encoder_depth=int(doc.get("shallow_encoder_depth", 1)),
+        optim=_build(doc.get("optim", {}), OptimConfig, "optim"),
+        **scalars,
     )
     validate(cfg)
     return cfg
@@ -214,23 +268,36 @@ def validate(cfg: RunConfig) -> None:
     """Cross-module consistency; raises ConfigError with actionable text."""
     if len(cfg.data.classes) < 2:
         raise ConfigError("data.classes: need at least 2 classes")
-    if cfg.data.samples_per_class < 1:
-        raise ConfigError("data.samples_per_class must be >= 1")
-    if cfg.data.frames < 1:
-        raise ConfigError(f"data.frames must be >= 1, got {cfg.data.frames}")
+    d = cfg.data
+    for name, value, low in [
+            ("seed", cfg.seed, 0), ("shallow_encoder_depth", cfg.shallow_encoder_depth, 0),
+            ("data.samples_per_class", d.samples_per_class, 1),
+            ("data.eval_samples_per_class", d.eval_samples_per_class, 0),
+            ("data.frames", d.frames, 1), ("data.resolution", min(d.resolution), 1),
+            ("data.oversample", d.oversample, 1),
+            ("data.frame_interval_us", d.frame_interval_us, 1),
+            ("text.heads", cfg.text.heads, 1), ("text.max_len", cfg.text.max_len, 1),
+            ("fusion.heads", cfg.fusion.heads, 1)]:
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
     dims = {"rgb_encoder.dim": cfg.rgb_encoder.dim,
             "event_encoder.dim": cfg.event_encoder.dim,
             "text.dim": cfg.text.dim, "fusion.dim": cfg.fusion.dim}
     if len(set(dims.values())) != 1:
         raise ConfigError(f"all branch widths must agree, got {dims}")
-    if cfg.fusion.dim % cfg.fusion.heads != 0:
-        raise ConfigError(
-            f"fusion.dim {cfg.fusion.dim} not divisible by fusion.heads {cfg.fusion.heads}")
-    try:
-        PromptTemplate(cfg.template)
-    except ContractError as exc:
-        raise ConfigError(f"template: {exc}") from exc
+    for section in ("text", "fusion"):
+        dim, heads = getattr(cfg, section).dim, getattr(cfg, section).heads
+        if dim % heads != 0:
+            raise ConfigError(f"{section}.dim {dim} not divisible by {section}.heads {heads}")
     labels = cfg.labels
+    if not all(labels):
+        raise ConfigError("class labels must be non-empty")
+    try:
+        template = PromptTemplate(cfg.template)
+        for label in labels:
+            render_prompt(template, label)
+    except (ContractError, ValueError, LookupError) as exc:
+        raise ConfigError(f"template {cfg.template!r}: {exc}") from exc
     if len(set(labels)) != len(labels):
         raise ConfigError("class labels must be distinct")
     if cfg.data.dvs_threshold <= 0:

@@ -33,6 +33,8 @@ class EncoderConfig:
     frozen: bool = True
 
     def __post_init__(self):
+        if min(self.image_size, self.patch_size, self.dim, self.heads) < 1:
+            raise ContractError("image_size, patch_size, dim and heads must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ContractError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")

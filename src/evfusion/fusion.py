@@ -39,8 +39,8 @@ class AblationSwitches:
 
 
 def _check_width(t: Tensor, dim: int, what: str) -> None:
-    if t.shape[1] != dim:
-        raise DimensionError(f"{what}: width {t.shape[1]} != fusion dim {dim}")
+    if t.shape[-1] != dim:
+        raise DimensionError(f"{what}: width {t.shape[-1]} != fusion dim {dim}")
 
 
 def init_fusion_params(store: ParamStore, prefix: str, cfg: FusionConfig,
@@ -61,14 +61,15 @@ def init_fusion_params(store: ParamStore, prefix: str, cfg: FusionConfig,
 
 def multimodal_transformer(modality: Tensor, text: Tensor, store: ParamStore,
                            prefix: str, cfg: FusionConfig) -> tuple[Tensor, Tensor]:
-    """Joint self-attention over [modality; text]; split back afterwards."""
+    """Joint self-attention over [modality; text]; split back afterwards.
+    modality is (..., T, d); a (L, d) text broadcasts over its batch axes."""
     _check_width(modality, cfg.dim, "multimodal_transformer modality")
     _check_width(text, cfg.dim, "multimodal_transformer text")
     x = ad.concat_rows(modality, text)
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
-    n = modality.shape[0]
-    return ad.slice_rows(x, 0, n), ad.slice_rows(x, n, x.shape[0])
+    n = modality.shape[-2]
+    return ad.slice_rows(x, 0, n), ad.slice_rows(x, n, x.shape[-2])
 
 
 def fuse_vision_event(fv: Tensor, fe: Tensor, store: ParamStore,
@@ -84,13 +85,14 @@ def fuse_vision_event(fv: Tensor, fe: Tensor, store: ParamStore,
 def cross_attention(text: Tensor, fused: Tensor, store: ParamStore,
                     prefix: str, cfg: FusionConfig) -> Tensor:
     """Text tokens query the fused tokens; one output row per class,
-    with a residual connection from the text query."""
+    with a residual connection from the text query. A (L, d) text is
+    projected once and broadcast over the batch axes of fused."""
     _check_width(text, cfg.dim, "cross_attention text")
     _check_width(fused, cfg.dim, "cross_attention fused")
     q = blocks.linear(store, f"{prefix}.wq", text)
     k = blocks.linear(store, f"{prefix}.wk", fused)
     v = blocks.linear(store, f"{prefix}.wv", fused)
-    return ad.add(text, ad.scaled_dot_attention(q, k, v))
+    return ad.add(ad.scaled_dot_attention(q, k, v), text)
 
 
 def classify(fused: Tensor, ca_vt: Tensor, ca_et: Tensor,
@@ -98,12 +100,14 @@ def classify(fused: Tensor, ca_vt: Tensor, ca_et: Tensor,
     """Concatenate the three streams, run the final self-attention block,
     mean-pool, and apply the single FC classifier.
 
-    Returns (logits of shape (1, L), pooled pre-classifier feature)."""
+    Returns (B, L) logits and (B, d) pooled pre-classifier features for a
+    (B, T, d) fused input, and (1, L) and (1, d) for a 2-D (T, d) one."""
     x = ad.concat_rows(fused, ca_vt, ca_et)
     x = blocks.attention_only_block(store, f"{prefix}.final", x, cfg.heads)
     pooled = ad.mean_rows(x)
     logits = blocks.linear(store, f"{prefix}.clf", pooled)
-    return logits, pooled
+    return (ad.reshape(logits, (-1, logits.shape[-1])),
+            ad.reshape(pooled, (-1, pooled.shape[-1])))
 
 
 @dataclass
@@ -183,7 +187,12 @@ class Model:
 
     def head(self, fv: Tensor, fe: Tensor, ft: Tensor,
              switches: AblationSwitches) -> tuple[Tensor, Tensor]:
-        """Fusion stages from encoded tokens to (logits, pooled feature)."""
+        """Fusion stages from encoded tokens to (logits, pooled features).
+
+        fv and fe are (B, T, d) batches of encodings, or one sample's 2-D
+        (T, d); the (L, d) text tokens ft broadcast over B. Every stage acts
+        on each sample's tokens alone, so a batch gives the rows of B
+        separate calls: (B, L) logits and (B, d) pooled features."""
         cfg = self.cfg.fusion
         if switches.mt:
             fv, text_vt = multimodal_transformer(fv, ft, self.store, "fusion.mt_vt", cfg)

@@ -28,7 +28,8 @@ def _weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
 def primitive_checks(seed: int = 0) -> dict[str, float]:
     """Max relative finite-difference error for every differentiable
     primitive on random inputs in [-1, 1]; the `_3d` entries give the
-    primitive a leading batch axis."""
+    primitive a leading batch axis, and `_broadcast_q` gives attention one
+    query matrix for a batch of keys and values."""
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
@@ -115,6 +116,13 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     results["scaled_dot_attention_3d_4_heads"] = finite_diff_check(
         lambda: _weighted_sum(ad.scaled_dot_attention(q3, k3, v3, heads=4), w43),
         [q3, k3, v3], PRIMITIVE_EPS)
+    results["slice_rows_3d"] = finite_diff_check(
+        lambda: _weighted_sum(ad.slice_rows(x3, 1, 3), w3[:, :2]), [x3], PRIMITIVE_EPS)
+    results["mean_rows_3d"] = finite_diff_check(
+        lambda: _weighted_sum(ad.mean_rows(x3), w3[:, :1]), [x3], PRIMITIVE_EPS)
+    results["scaled_dot_attention_broadcast_q"] = finite_diff_check(
+        lambda: _weighted_sum(ad.scaled_dot_attention(q4, k3, v3, heads=4), w43),
+        [q4, k3, v3], PRIMITIVE_EPS)
     return results
 
 

@@ -3,6 +3,7 @@ plus top-k evaluation."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, NumericError
+from .errors import ContractError, DimensionError, NumericError
 from .events import Sample
 from .fusion import AblationSwitches, Model
 from .params import digest
@@ -150,14 +151,33 @@ class EncodingMemo:
         return out
 
 
+# Samples per Model.head call. The saved (HEAD_BATCH, heads, T, T) attention
+# weights of a block of 4 stay cache-sized; one call for a whole 16-sample
+# step spills them, is not reliably faster and raises peak memory.
+HEAD_BATCH = 4
+
+
+def _stack(parts: list[Tensor], what: str) -> Tensor:
+    """n (T, d) encodings as one (n, T, d) batch, on the tape when they are."""
+    shape = parts[0].shape
+    if any(p.shape != shape for p in parts):
+        raise DimensionError(
+            f"head_rows: {what} encodings differ in shape: {[p.shape for p in parts]}")
+    return ad.reshape(ad.concat_rows(*parts), (len(parts), *shape))
+
+
 def head_rows(model: Model, encodings: Iterable[tuple[Tensor, Tensor]], ft: Tensor,
               switches: AblationSwitches) -> tuple[Tensor, Tensor]:
-    """Run the fusion head on each (fv, fe) pair; returns the stacked
-    (N, L) logits and (N, d) pooled features. This is the one per-sample
-    loop after the encoders: losses and metrics work on whole batches."""
-    rows = [model.head(fv, fe, ft, switches) for fv, fe in encodings]
-    return (ad.concat_rows(*(logits for logits, _ in rows)),
-            ad.concat_rows(*(pooled for _, pooled in rows)))
+    """Run the fusion head on the (fv, fe) pairs, one Model.head call per
+    HEAD_BATCH of them; returns the stacked (N, L) logits and (N, d) pooled
+    features. All samples must have the same token counts."""
+    rows = []
+    pairs = iter(encodings)
+    while chunk := list(itertools.islice(pairs, HEAD_BATCH)):
+        rows.append(model.head(_stack([fv for fv, _ in chunk], "vision"),
+                               _stack([fe for _, fe in chunk], "event"), ft, switches))
+    logits, pooled = zip(*rows)
+    return ad.concat_rows(*logits), ad.concat_rows(*pooled)
 
 
 def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,

@@ -496,8 +496,7 @@ def test_batched_primitive_shape_contracts():
 @pytest.mark.parametrize("op", [
     lambda x: ad.matmul(x, Tensor(np.ones((4, 2)))),
     lambda x: ad.matmul(Tensor(np.ones((2, 2))), x),
-    ad.logsumexp_rows, ad.mean_rows,
-    lambda x: ad.slice_rows(x, 0, 1),
+    ad.logsumexp_rows,
     lambda x: ad.take_rows(x, [0]),
     lambda x: ad.neg_pick(x, np.array([0, 1])),
 ])
@@ -666,3 +665,32 @@ def test_backward_adds_into_no_shared_gradient():
     backward(ad.sum_all(ad.add(square, both)))
     assert np.array_equal(p1.grad, [[3.0, -3.0, 7.0]])  # 2 * p1 + 1
     assert np.array_equal(p2.grad, [[1.0, 1.0, 1.0]])
+
+
+def test_batched_row_ops_equal_per_matrix_calls_with_gradients():
+    rng = np.random.default_rng(21)
+    x, g_slice, g_mean = (rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 2, 4)),
+                          rng.normal(size=(3, 1, 4)))
+    for op, g in ((lambda t: ad.slice_rows(t, 1, 3), g_slice), (ad.mean_rows, g_mean)):
+        batch = forward_and_grads(op, [x], g)
+        for f in range(3):
+            one = forward_and_grads(op, [x[f]], g[f])
+            assert_bit_equal([a[f] for a in batch], one)
+
+
+def test_attention_broadcast_query_equals_per_matrix_calls_with_gradients():
+    rng = np.random.default_rng(22)
+    q, k, v = rng.normal(size=(4, 8)), rng.normal(size=(3, 6, 8)), rng.normal(size=(3, 6, 8))
+    g = rng.normal(size=(3, 4, 8))
+    op = lambda *t: ad.scaled_dot_attention(*t, heads=2)
+    with ad.attention_weights() as sink:
+        out, gq, gk, gv = forward_and_grads(op, [q, k, v], g)
+    assert out.shape == (3, 4, 8) and gq.shape == q.shape and len(sink) == 3 * 2
+    gq_sum = np.zeros_like(q)
+    for f in range(3):
+        with ad.attention_weights() as one_sink:
+            one = forward_and_grads(op, [q, k[f], v[f]], g[f])
+        assert_bit_equal([out[f], gk[f], gv[f]], [one[0], one[2], one[3]])
+        assert_bit_equal([w.data for w in sink[2 * f:2 * f + 2]], [w.data for w in one_sink])
+        gq_sum += one[1]  # the batch axis is summed in order
+    assert_bit_equal([gq], [gq_sum])

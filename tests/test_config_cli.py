@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +10,15 @@ from hypothesis import strategies as st
 from evfusion import autodiff as ad
 from evfusion import cli, data_files, events
 from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
-                             SWEEP_TEMPLATES, classes_from_labels,
+                             SWEEP_TEMPLATES, DataConfig, classes_from_labels,
                              config_to_dict, load_config, make_datasets)
+from evfusion.encoders import EncoderConfig
 from evfusion.errors import ConfigError, ContractError, ParseError, ValidationError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
-from evfusion.fusion import Model
+from evfusion.fusion import AblationSwitches, FusionConfig, Model
 from evfusion.params import ParamStore
-from evfusion.trainer import head_rows
+from evfusion.text import TextConfig
+from evfusion.trainer import OptimConfig, head_rows
 
 
 TINY = {
@@ -123,6 +127,74 @@ def test_config_error_cases(tmp_path):
     p3.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="optim"):
         load_config(p3)
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"data": {"resolution": 5}}, "data.resolution"),
+    ({"optim": {"betas": 0.9}}, "optim.betas"),
+    ({"seed": "x"}, "seed"),
+    (["seed", 1], "expected a JSON object"),
+    ({"data": {"frames": "3"}}, "data.frames"),
+    ({"fusion": {"heads": 0}}, "fusion.heads"),
+    ({"data": []}, "data"),
+], ids=["resolution-int", "betas-float", "seed-str", "top-level-list", "frames-str",
+        "heads-zero", "data-list"])
+def test_wrongly_typed_config_value_is_a_config_error_naming_it(tmp_path, capsys, doc, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        load_config(path)
+    assert cli.main(["train", "--config", str(path), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=8)
+_VALUE = st.one_of(_JSON, st.integers(-2, 40), st.sampled_from([0.0, 0.5, 2.0]),
+                   st.lists(st.integers(-1, 40), max_size=3),
+                   st.sampled_from(["square moving right", "disc moving up", "{}", "NONE",
+                                    "a {} {x}", ""]),
+                   st.lists(st.sampled_from(["square moving left", "bar moving down", 3,
+                                             {"label": "x", "shape": "disc",
+                                              "direction": "up"}]), max_size=3))
+_SECTIONS = {
+    "data": [f.name for f in dataclasses.fields(DataConfig)] + ["labels_file"],
+    "rgb_encoder": [f.name for f in dataclasses.fields(EncoderConfig)],
+    "event_encoder": [f.name for f in dataclasses.fields(EncoderConfig)],
+    "text": [f.name for f in dataclasses.fields(TextConfig)],
+    "fusion": [f.name for f in dataclasses.fields(FusionConfig)],
+    "switches": [f.name for f in dataclasses.fields(AblationSwitches)],
+    "optim": [f.name for f in dataclasses.fields(OptimConfig)],
+}
+
+
+@st.composite
+def _config_ish(draw):
+    """A document with real section and field names, holding mostly
+    plausible and sometimes arbitrary JSON values."""
+    doc = {}
+    for key in draw(st.lists(st.sampled_from(sorted(_SECTIONS) + [
+            "seed", "out_dir", "template", "shallow_encoder_depth"]), max_size=4)):
+        names = _SECTIONS.get(key)
+        doc[key] = draw(_VALUE if names is None else st.one_of(_JSON, st.dictionaries(
+            st.sampled_from(names), _VALUE, max_size=3)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_JSON, _config_ish()))
+def test_load_config_fuzz_only_config_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert len(cfg.labels) >= 2 and cfg.fusion.dim % cfg.fusion.heads == 0
 
 
 def test_sweep_constants():

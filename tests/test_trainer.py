@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import weakref
 
@@ -9,12 +10,12 @@ from evfusion import autodiff as ad
 from evfusion import fusion, trainer
 from evfusion.autodiff import Tensor, backward
 from evfusion.encoders import EncoderConfig
-from evfusion.errors import ContractError, NumericError
+from evfusion.errors import ContractError, DimensionError, NumericError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import FusionConfig, Model, ModelConfig
 from evfusion.text import PromptTemplate, TextConfig
 from evfusion.trainer import (EncodingMemo, OptimConfig, TrainState, adamw_step,
-                              cosine_lr, cross_entropy, evaluate, train)
+                              cosine_lr, cross_entropy, evaluate, head_rows, train)
 
 LABELS = ["square moving right", "square moving left",
           "disc moving up", "disc moving down"]
@@ -325,9 +326,17 @@ def test_train_matches_per_sample_reference_step(monkeypatch, cached):
         runs.append(([{k: v for k, v in r.items() if k != "wall_ms"} for r in log],
                      {n: t.data.copy() for n, t in model.store.items()}))
     (log, params), (ref_log, ref_params) = runs
-    assert log == ref_log
+    # the batched head sums weight and text-token gradients over its batch
+    # axis in one GEMM instead of the reference's add chain, so losses and
+    # parameters may differ in their last bits; all else is exact
+    assert len(log) == len(ref_log)
+    for r, ref in zip(log, ref_log):
+        assert r.keys() == ref.keys()
+        assert {k: v for k, v in r.items() if k != "train_loss"} == \
+            {k: v for k, v in ref.items() if k != "train_loss"}
+        assert abs(r["train_loss"] - ref["train_loss"]) <= 1e-12
     assert params.keys() == ref_params.keys()
-    assert all(np.array_equal(params[n], ref_params[n]) for n in params)
+    assert all(np.max(np.abs(params[n] - ref_params[n])) <= 1e-12 for n in params)
 
 
 def test_train_encoder_cache_matches_uncached(monkeypatch):
@@ -576,3 +585,93 @@ def update_once(step):
         calls.append(1)
         return step(*args, **kwargs)
     return once
+
+
+# -- the batched fusion head ------------------------------------------------
+
+SWITCH_COMBOS = [dict(zip(("sci", "mt", "sa", "ca"), c))
+                 for c in itertools.product([True, False], repeat=4)]
+
+
+def frozen_encodings(model, data):
+    with ad.no_grad():
+        return [tuple(t.data for t in model.encode_sample(s)) for s in data]
+
+
+@pytest.mark.parametrize("combo", SWITCH_COMBOS,
+                         ids=lambda c: "-".join(f"{k}{int(v)}" for k, v in c.items()))
+def test_head_rows_bit_equals_per_sample_heads(combo):
+    model = tiny_model(seed=1)
+    enc = frozen_encodings(model, tiny_dataset()[:6])  # sub-batches of 4 and 2
+    switches = fusion.AblationSwitches(**combo)
+    ft = model.text_tokens(switches)
+    logits, pooled = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc), ft,
+                               switches)
+    rows = [model.head(Tensor(a), Tensor(b), ft, switches) for a, b in enc]
+    assert logits.shape == (6, len(LABELS)) and pooled.shape == (6, DIM)
+    assert logits.data.tobytes() == np.concatenate([r[0].data for r in rows]).tobytes()
+    assert pooled.data.tobytes() == np.concatenate([r[1].data for r in rows]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 8, 9])
+def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
+    model = tiny_model()
+    enc = frozen_encodings(model, tiny_dataset(samples_per_class=3)[:n])
+    calls = []
+    real = Model.head
+
+    def counted(self, fv, fe, ft, switches):
+        calls.append(fv.shape[0])
+        return real(self, fv, fe, ft, switches)
+
+    monkeypatch.setattr(Model, "head", counted)
+    switches = fusion.AblationSwitches()
+    logits, _ = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc),
+                          model.text_tokens(switches), switches)
+    assert logits.shape[0] == n
+    assert len(calls) == math.ceil(n / trainer.HEAD_BATCH)
+    assert all(b == trainer.HEAD_BATCH for b in calls[:-1])
+
+
+def test_head_rows_rejects_encodings_of_different_token_counts():
+    model = tiny_model()
+    (fv, fe), = frozen_encodings(model, tiny_dataset()[:1])
+    switches = fusion.AblationSwitches()
+    short = (Tensor(fv[1:]), Tensor(fe))
+    with pytest.raises(DimensionError, match="vision encodings differ"):
+        head_rows(model, [(Tensor(fv), Tensor(fe)), short], model.text_tokens(switches),
+                  switches)
+
+
+def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
+    # trainable encoders put each sample's encodings on the tape; a sample's
+    # gradient flows through its own rows of the stacked batch only
+    model = tiny_model(seed=2)
+    enc = frozen_encodings(model, tiny_dataset()[:5])
+    switches = fusion.AblationSwitches()
+    weights = np.random.default_rng(0).normal(size=(5, len(LABELS)))
+    pairs = [(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)) for a, b in enc]
+    logits, _ = head_rows(model, pairs, model.text_tokens(switches), switches)
+    backward(ad.sum_all(ad.mul(logits, Tensor(weights))))
+    for (fv, fe), w in zip(pairs, weights):
+        one = [Tensor(fv.data, requires_grad=True), Tensor(fe.data, requires_grad=True)]
+        row, _ = model.head(*one, model.text_tokens(switches), switches)
+        backward(ad.sum_all(ad.mul(row, Tensor(w[None]))))
+        assert fv.grad.tobytes() == one[0].grad.tobytes()
+        assert fe.grad.tobytes() == one[1].grad.tobytes()
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_batched_train_runs_are_bit_identical(frozen):
+    base = tiny_model().cfg
+    cfg = dataclasses.replace(base, rgb=dataclasses.replace(base.rgb, frozen=frozen),
+                              event=dataclasses.replace(base.event, frozen=frozen))
+    data = tiny_dataset()
+    runs = []
+    for _ in range(2):
+        model = Model(cfg, seed=7)
+        log = train(data, model, OptimConfig(epochs=2, batch_size=6, seed=1),
+                    eval_dataset=data[:5])
+        runs.append(([{k: v for k, v in r.items() if k != "wall_ms"} for r in log],
+                     {n: t.data.tobytes() for n, t in model.store.items()}))
+    assert runs[0] == runs[1]
