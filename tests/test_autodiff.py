@@ -497,6 +497,7 @@ def test_batched_primitive_shape_contracts():
     lambda x: ad.matmul(x, Tensor(np.ones((4, 2)))),
     lambda x: ad.matmul(Tensor(np.ones((2, 2))), x),
     ad.logsumexp_rows,
+    lambda x: ad.matmul(x, x),  # both operands 3-D is no batched matmul either
     lambda x: ad.take_rows(x, [0]),
     lambda x: ad.neg_pick(x, np.array([0, 1])),
 ])
