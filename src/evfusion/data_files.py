@@ -74,8 +74,9 @@ def _manifest_fields(path: Path, **types: type) -> list:
         manifest = json.loads(path.read_text())
     except ValueError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    bad = [f for f, t in types.items()
-           if not (isinstance(manifest, dict) and isinstance(manifest.get(f), t))]
+    bad = [f for f, t in types.items()  # a JSON boolean is not an integer
+           if not (isinstance(manifest, dict) and isinstance(manifest.get(f), t)
+                   and type(manifest[f]) is not bool)]
     if bad:
         raise ParseError(f"{path}: missing or mistyped fields {bad}")
     return [manifest[f] for f in types]
@@ -95,14 +96,20 @@ def read_sample(directory: str | Path) -> Sample:
         raise ValidationError(f"{directory}: timestamps {timestamps} are not strictly increasing")
     if len(resolution) != 2 or min(resolution) < 1:
         raise ValidationError(f"{directory}: resolution {resolution} is not two positive integers")
-    frames = [read_ppm(directory / f"frame_{i:03d}.ppm") for i in range(n_frames)]
-    clip = VideoClip(frames, np.asarray(timestamps, np.int64))
-    if event_format == "csv":
-        events = parse_events_csv(directory / "events.csv", tuple(resolution))
-    elif event_format == "binary":
-        events = parse_events_binary(directory / "events.bin")
-    else:
+    if label < 0:
+        raise ValidationError(f"{directory}: label {label} is negative")
+    if event_format not in ("csv", "binary"):
         raise ParseError(f"{directory}: event_format {event_format!r} is not 'csv' or 'binary'")
+    frame_paths = [directory / f"frame_{i:03d}.ppm" for i in range(n_frames)]
+    events_path = directory / ("events.csv" if event_format == "csv" else "events.bin")
+    missing = [p.name for p in frame_paths + [events_path] if not p.is_file()]
+    if missing:
+        raise ValidationError(f"{directory}: the manifest names missing files {missing}")
+    clip = VideoClip([read_ppm(p) for p in frame_paths], np.asarray(timestamps, np.int64))
+    if event_format == "csv":
+        events = parse_events_csv(events_path, tuple(resolution))
+    else:
+        events = parse_events_binary(events_path)
     if len(events) != n_events:
         raise ValidationError(f"{directory}: {len(events)} events, the manifest says {n_events}")
     return Sample(clip, events, label, sample_id)
@@ -134,5 +141,14 @@ def write_dataset(samples: list[Sample], labels: list[str],
 
 def read_dataset(out_dir: str | Path, split: str = "train") -> list[Sample]:
     out_dir = Path(out_dir)
-    (names,) = _manifest_fields(out_dir / f"dataset_{split}.json", samples=list)
+    manifest = out_dir / f"dataset_{split}.json"
+    (names,) = _manifest_fields(manifest, samples=list)
+    # each name is one directory inside out_dir, as write_dataset makes them
+    bad = [n for n in names if not isinstance(n, str) or n in ("", ".", "..")
+           or any(c in n for c in "/\\\0")]
+    if bad:
+        raise ParseError(f"{manifest}: sample names {bad} are not directory names")
+    missing = [n for n in names if not (out_dir / n).is_dir()]
+    if missing:
+        raise ValidationError(f"{manifest}: no sample directory for {missing}")
     return [read_sample(out_dir / name) for name in names]

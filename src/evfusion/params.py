@@ -2,8 +2,10 @@
 
 Checkpoint format: a flat file of little-endian float64 values plus a
 JSON sidecar manifest mapping each parameter name to its shape and
-element offset into the flat file. Save/load is bit-exact. A checkpoint
-holds values only: which parameters are frozen is set by the config.
+element offset into the flat file. Save/load is bit-exact; loading takes
+only a sidecar whose dtype is "<f8" and whose counts, shapes and offsets
+are JSON integers. A checkpoint holds values only: which parameters are
+frozen is set by the config.
 """
 
 from __future__ import annotations
@@ -101,11 +103,19 @@ class ParamStore:
         raw = path.read_bytes()
         try:
             sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-            n_values = int(sidecar["n_values"])
-            metas = {name: (tuple(meta["shape"]), int(meta["offset"]))
+            dtype, n_values = sidecar["dtype"], sidecar["n_values"]
+            metas = {name: (meta["shape"], meta["offset"])
                      for name, meta in sidecar["params"].items()}
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"checkpoint {path}: malformed sidecar: {exc!r}") from exc
+        if dtype != "<f8":
+            raise ParseError(f"checkpoint {path}: dtype {dtype!r} is not '<f8'")
+        if not (type(n_values) is int and all(  # JSON integers: no floats, strings or booleans
+                type(offset) is int and type(shape) is list and all(type(n) is int for n in shape)
+                for shape, offset in metas.values())):
+            raise ParseError(f"checkpoint {path}: n_values, offsets and shapes must be "
+                             "JSON integers")
+        metas = {name: (tuple(shape), offset) for name, (shape, offset) in metas.items()}
         if len(raw) != 8 * n_values:
             raise ParseError(f"checkpoint {path}: holds {len(raw) / 8:g} values, not {n_values}")
         missing = sorted(self._params.keys() - metas.keys())

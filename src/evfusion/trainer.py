@@ -7,7 +7,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,9 +151,10 @@ class EncodingMemo:
         return out
 
 
-# Samples per Model.head call. The saved (HEAD_BATCH, heads, T, T) attention
-# weights of a block of 4 stay cache-sized; one call for a whole 16-sample
-# step spills them, is not reliably faster and raises peak memory.
+# Samples per Model.head call, and per forward-then-backward block of a
+# training step. A block's saved (HEAD_BATCH, heads, T, T) attention weights
+# stay cache-sized, and a step holds one block's tape at a time, so its peak
+# memory does not grow with the batch size.
 HEAD_BATCH = 4
 
 
@@ -162,21 +163,31 @@ def _stack(parts: list[Tensor], what: str) -> Tensor:
     shape = parts[0].shape
     if any(p.shape != shape for p in parts):
         raise DimensionError(
-            f"head_rows: {what} encodings differ in shape: {[p.shape for p in parts]}")
+            f"head_blocks: {what} encodings differ in shape: {[p.shape for p in parts]}")
     return ad.reshape(ad.concat_rows(*parts), (len(parts), *shape))
+
+
+def head_blocks(model: Model, encodings: Iterable[tuple[Tensor, Tensor]],
+                texts: Iterable[Tensor],
+                switches: AblationSwitches) -> Iterator[tuple[Tensor, Tensor]]:
+    """Run Model.head once per HEAD_BATCH of the (fv, fe) pairs and yield
+    each block's (b, L) logits and (b, d) pooled features; the k-th block
+    reads the k-th (L, d) text tokens of texts. A block's pairs are drawn
+    only when it runs and dropped before the next block's are, so encoders
+    that train hold one block's tape at a time. All samples must have the
+    same token counts."""
+    pairs, texts = iter(encodings), iter(texts)
+    while chunk := list(itertools.islice(pairs, HEAD_BATCH)):
+        yield model.head(_stack([fv for fv, _ in chunk], "vision"),
+                         _stack([fe for _, fe in chunk], "event"), next(texts), switches)
+        del chunk
 
 
 def head_rows(model: Model, encodings: Iterable[tuple[Tensor, Tensor]], ft: Tensor,
               switches: AblationSwitches) -> tuple[Tensor, Tensor]:
-    """Run the fusion head on the (fv, fe) pairs, one Model.head call per
-    HEAD_BATCH of them; returns the stacked (N, L) logits and (N, d) pooled
-    features. All samples must have the same token counts."""
-    rows = []
-    pairs = iter(encodings)
-    while chunk := list(itertools.islice(pairs, HEAD_BATCH)):
-        rows.append(model.head(_stack([fv for fv, _ in chunk], "vision"),
-                               _stack([fe for _, fe in chunk], "event"), ft, switches))
-    logits, pooled = zip(*rows)
+    """The stacked (N, L) logits and (N, d) pooled features of head_blocks
+    over the (fv, fe) pairs, every block reading the text tokens ft."""
+    logits, pooled = zip(*head_blocks(model, encodings, itertools.repeat(ft), switches))
     return ad.concat_rows(*logits), ad.concat_rows(*pooled)
 
 
@@ -185,28 +196,47 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
                 switches: AblationSwitches, state: TrainState, lr: float,
                 cfg: OptimConfig) -> tuple[list[float], int]:
     """One optimizer step on dataset[idx]: per-sample losses and correct
-    count. The step's tape is freed on return, before the next forward.
-    Raises NumericError, updating nothing, when the batch loss or a
-    trainable gradient is not finite."""
+    count. Each head block is backpropagated as soon as its forward ends
+    and its tape is dropped before the next block starts; the weight
+    gradients accumulate in .grad. Raises NumericError, updating nothing,
+    when a loss or a trainable gradient is not finite."""
     model.store.zero_grad()
     if cache is not None:
         encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
     else:
         encodings = (model.encode_sample(dataset[i]) for i in idx)
-    logits, _ = head_rows(model, encodings, model.text_tokens(switches), switches)
     labels = np.array([dataset[i].label for i in idx])
-    losses = cross_entropy(logits, labels)
-    batch_loss = ad.mean_rows(losses)
-    if not np.isfinite(batch_loss.data).all():
-        raise NumericError(f"non-finite loss {batch_loss.data[0, 0]}")
-    ad.backward(batch_loss)
+    n_blocks = -(-len(idx) // HEAD_BATCH)
+    # The text branch is built once per step. Every block but the last reads
+    # its tokens through a detached leaf that gathers their gradient; the last
+    # block reads the taped tokens and its loss carries sum(ft * that
+    # gradient), so one backward call passes the whole step's text gradient
+    # into the text branch.
+    ft = model.text_tokens(switches)
+    leaf = Tensor(ft.data, requires_grad=ft.requires_grad)
+    texts = itertools.chain(itertools.repeat(leaf, n_blocks - 1), [ft])
+    scale = Tensor(1.0 / len(idx))  # each sample's loss weighs 1/B of the batch mean
+    losses, hits = [], 0
+    # A plain for: enumerate and zip would keep the last block's outputs, and
+    # with them its tape, alive while the next block runs.
+    for logits, pooled in head_blocks(model, encodings, texts, switches):
+        block_labels = labels[len(losses):len(losses) + logits.shape[0]]
+        rows = cross_entropy(logits, block_labels)
+        if not np.isfinite(rows.data).all():
+            raise NumericError(f"non-finite loss {rows.data.mean()}")
+        losses += rows.data[:, 0].tolist()
+        hits += int(np.sum(np.argmax(logits.data, axis=1) == block_labels))
+        loss = ad.mul(ad.sum_all(rows), scale)
+        if len(losses) == len(idx) and leaf.grad is not None:  # the last block
+            loss = ad.add(loss, ad.sum_all(ad.mul(ft, Tensor(leaf.grad))))
+        ad.backward(loss)
+        del logits, pooled, rows, loss  # the block's tape goes with them
     for name, p in model.store.trainable_items():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(
                 f"non-finite gradient in the {name.split('.')[0]} group ({name})")
     adamw_step(model, state, lr, cfg)
-    hits = int(np.sum(np.argmax(logits.data, axis=1) == labels))
-    return losses.data[:, 0].tolist(), hits
+    return losses, hits
 
 
 def train(dataset: list[Sample], model: Model, cfg: OptimConfig,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -343,6 +344,88 @@ def test_param_store_load_value_count_mismatch(tmp_path):
         other.load(path)
 
 
+def edit_sidecar(path, edit):
+    sidecar = path.with_suffix(path.suffix + ".json")
+    doc = json.loads(sidecar.read_text())
+    edit(doc)
+    sidecar.write_text(json.dumps(doc))
+
+
+def counting_store():
+    store = ParamStore()
+    store.add("a.w", np.arange(4.0).reshape(1, 4))
+    store.add("b.w", np.arange(4.0, 6.0).reshape(1, 2))
+    return store
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda doc: doc.update(dtype=">f8"), "dtype '>f8'"),
+    (lambda doc: doc.update(dtype="<f4"), "dtype '<f4'"),
+    (lambda doc: doc.pop("dtype"), "malformed sidecar"),
+    (lambda doc: doc["params"]["b.w"].update(offset=1.5), "JSON integers"),
+    (lambda doc: doc["params"]["b.w"].update(offset="4"), "JSON integers"),
+    (lambda doc: doc["params"]["a.w"].update(offset=False), "JSON integers"),
+    (lambda doc: doc.update(n_values=6.0), "JSON integers"),
+    (lambda doc: doc.update(n_values="6"), "JSON integers"),
+    (lambda doc: doc["params"]["a.w"].update(shape=[1.0, 4]), "JSON integers"),
+    (lambda doc: doc["params"]["a.w"].update(shape="14"), "JSON integers"),
+], ids=["big-endian", "float32", "no-dtype", "float-offset", "str-offset", "bool-offset",
+        "float-n_values", "str-n_values", "float-shape", "str-shape"])
+def test_param_store_load_rejects_a_mistyped_sidecar(tmp_path, edit, match):
+    path = tmp_path / "m.ckpt"
+    counting_store().save(path)
+    edit_sidecar(path, edit)
+    other = counting_store()
+    other["a.w"].data = np.zeros((1, 4))
+    with pytest.raises(ParseError, match=match):
+        other.load(path)
+    assert not np.any(other["a.w"].data)
+
+
+def test_cli_eval_of_a_float32_sidecar_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out))
+    cfg = load_config(path)
+    out.mkdir()
+    Model(cfg.model_config(), seed=cfg.seed).store.save(out / "model.ckpt")
+    edit_sidecar(out / "model.ckpt", lambda doc: doc.update(dtype="<f4"))
+    assert run_cli(["eval", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "dtype '<f4'" in err
+
+
+@st.composite
+def _sidecar_ish(draw):
+    """The sidecar of counting_store with some fields replaced by other JSON."""
+    doc = {"dtype": "<f8", "n_values": 6,
+           "params": {"a.w": {"shape": [1, 4], "offset": 0},
+                      "b.w": {"shape": [1, 2], "offset": 4}}}
+    fields = [(doc, "dtype"), (doc, "n_values"), (doc, "params"),
+              *((doc["params"][n], f) for n in ("a.w", "b.w") for f in ("shape", "offset"))]
+    for owner, key in draw(st.lists(st.sampled_from(fields), max_size=3)):
+        owner[key] = draw(st.one_of(_JSON, st.integers(-2, 8), st.sampled_from(
+            ["<f8", ">f8", "<f4", 1.5, True, [1, 4], [2, 2], [1.0, 2]])))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_JSON, _sidecar_ish()))
+def test_param_store_load_fuzz_only_typed_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    counting_store().save(path)
+    path.with_suffix(".ckpt.json").write_text(json.dumps(doc))
+    store = counting_store()
+    try:
+        store.load(path)
+    except (ParseError, ValidationError):
+        return
+    assert doc["dtype"] == "<f8" and type(doc["n_values"]) is int
+    for name, meta in doc["params"].items():  # each parameter read from its own offset
+        assert type(meta["offset"]) is int
+        assert store[name].data.tobytes() == np.arange(
+            meta["offset"], meta["offset"] + store[name].data.size, dtype=float).tobytes()
+
+
 # -- dataset files ---------------------------------------------------------------
 
 def desk_samples(n_frames=2):
@@ -464,9 +547,18 @@ def test_dataset_roundtrip(tmp_path, fmt):
     (lambda doc: doc.update(resolution=[16]), ValidationError, "not two positive integers"),
     (lambda doc: doc.update(resolution=["a", 16]), ParseError, "must hold integers"),
     (lambda doc: doc.update(event_format="aedat"), ParseError, "event_format 'aedat'"),
+    (lambda doc: doc.update(label=True), ParseError, "mistyped fields \\['label'\\]"),
+    (lambda doc: doc.update(n_frames=True, timestamps=[0]), ParseError,
+     "mistyped fields \\['n_frames'\\]"),
+    (lambda doc: doc.update(label=-1), ValidationError, "label -1 is negative"),
+    (lambda doc: doc.update(timestamps=[0, 1, 2], n_frames=3), ValidationError,
+     "missing files \\['frame_002.ppm'\\]"),
+    (lambda doc: doc.update(event_format="binary"), ValidationError,
+     "missing files \\['events.bin'\\]"),
 ], ids=["truncated", "no-n_frames", "no-event_format", "int-timestamps", "str-n_frames",
         "n_events", "timestamps", "repeated-timestamps", "str-timestamp", "float-timestamp",
-        "one-resolution", "str-resolution", "unknown-event_format"])
+        "one-resolution", "str-resolution", "unknown-event_format", "bool-label",
+        "bool-n_frames", "negative-label", "missing-frame", "missing-events"])
 def test_read_sample_rejects_a_bad_manifest(tmp_path, edit, error, match):
     samples, _ = desk_samples()
     data_files.write_sample(samples[0], tmp_path)
@@ -490,6 +582,75 @@ def test_read_dataset_rejects_a_bad_manifest(tmp_path, content):
     (tmp_path / "dataset_train.json").write_text(content)
     with pytest.raises(ParseError):
         data_files.read_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("names,error,match", [
+    ([5], ParseError, "sample names \\[5\\] are not directory names"),
+    (["train_c00_s000", None], ParseError, "sample names \\[None\\]"),
+    (["../train_c00_s000"], ParseError, "not directory names"),
+    ([".."], ParseError, "not directory names"),
+    (["train_c00_s000\x00"], ParseError, "not directory names"),
+    (["train_c00_s000", "train_c09_s000"], ValidationError,
+     "no sample directory for \\['train_c09_s000'\\]"),
+], ids=["int", "null", "parent-path", "parent", "nul", "absent"])
+def test_read_dataset_rejects_bad_sample_names(tmp_path, names, error, match):
+    samples, labels = desk_samples()
+    data_files.write_dataset(samples, labels, tmp_path / "d")
+    (tmp_path / "d" / "dataset_train.json").write_text(json.dumps({"samples": names}))
+    with pytest.raises(error, match=match):
+        data_files.read_dataset(tmp_path / "d")
+
+
+_MANIFEST_VALUES = st.one_of(
+    _JSON, st.integers(-2, 4), st.sampled_from(["csv", "binary", "x", True, 1.5]),
+    st.lists(st.integers(-1, 20), max_size=4), st.sampled_from([[16, 16], [0, 16], [1]]))
+
+
+@st.composite
+def _manifest_ish(draw, fields):
+    """A written manifest with some of its fields replaced by other JSON."""
+    doc = dict(fields)
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), max_size=3)):
+        doc[key] = draw(_MANIFEST_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def written_dataset(tmp_path_factory):
+    samples, labels = desk_samples()
+    root = tmp_path_factory.mktemp("dataset")
+    data_files.write_dataset(samples, labels, root)
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_sample_fuzz_only_typed_errors(tmp_path_factory, written_dataset, data):
+    sample_dir = tmp_path_factory.mktemp("fuzz") / "s"
+    shutil.copytree(written_dataset / "train_c00_s000", sample_dir)
+    fields = json.loads((sample_dir / "manifest.json").read_text())
+    doc = data.draw(st.one_of(_JSON, _manifest_ish(fields)))
+    (sample_dir / "manifest.json").write_text(json.dumps(doc))
+    try:
+        sample = data_files.read_sample(sample_dir)
+    except (ParseError, ValidationError):
+        return
+    assert all(type(doc[f]) is int for f in ("label", "n_frames", "n_events"))
+    assert len(sample.clip) == doc["n_frames"] and len(sample.events) == doc["n_events"]
+    assert sample.label == doc["label"] >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.one_of(_JSON, _manifest_ish({"samples": ["train_c00_s000", "train_c00_s001"]}),
+                     st.fixed_dictionaries({"samples": st.lists(st.one_of(_JSON, st.sampled_from(
+                         ["train_c00_s000", "train_c01_s001", "..", "/tmp", ""])), max_size=3)})))
+def test_read_dataset_fuzz_only_typed_errors(written_dataset, doc):
+    (written_dataset / "dataset_fuzz.json").write_text(json.dumps(doc))
+    try:
+        samples = data_files.read_dataset(written_dataset, split="fuzz")
+    except (ParseError, ValidationError):
+        return
+    assert [s.sample_id for s in samples] == [n.removeprefix("train_") for n in doc["samples"]]
 
 
 # -- CLI ---------------------------------------------------------------------------

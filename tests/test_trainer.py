@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from evfusion import autodiff as ad
-from evfusion import fusion, trainer
+from evfusion import config, fusion, trainer
 from evfusion.autodiff import Tensor, backward
 from evfusion.encoders import EncoderConfig
 from evfusion.errors import ContractError, DimensionError, NumericError
@@ -675,3 +676,106 @@ def test_batched_train_runs_are_bit_identical(frozen):
         runs.append(([{k: v for k, v in r.items() if k != "wall_ms"} for r in log],
                      {n: t.data.tobytes() for n, t in model.store.items()}))
     assert runs[0] == runs[1]
+
+
+# -- blockwise training step -----------------------------------------------------
+
+def one_tape_step(model, dataset, idx, cache, switches, state, lr, cfg):
+    """Reference step: every head block of the batch on one tape, then a
+    single backward from the batch-mean loss."""
+    model.store.zero_grad()
+    if cache is not None:
+        encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
+    else:
+        encodings = (model.encode_sample(dataset[i]) for i in idx)
+    logits, _ = head_rows(model, encodings, model.text_tokens(switches), switches)
+    labels = np.array([dataset[i].label for i in idx])
+    losses = cross_entropy(logits, labels)
+    backward(ad.mean_rows(losses))
+    adamw_step(model, state, lr, cfg)
+    return losses.data[:, 0].tolist(), int(np.sum(np.argmax(logits.data, axis=1) == labels))
+
+
+def step_case(case):
+    """A fresh model, its switches and its encoder cache for one step case."""
+    model = tiny_model(seed=5)
+    if case == "frozen-text":
+        model.store.freeze("text.")
+    if case == "trainable-encoders":
+        for name, t in model.store.items():
+            t.requires_grad = t.requires_grad or name.startswith(("rgb.", "event."))
+    switches = fusion.AblationSwitches(sci=case != "sci-off")
+    return model, switches, EncodingMemo().encode(model, tiny_dataset())
+
+
+STEP_CASES = ["sci-on", "sci-off", "frozen-text", "trainable-encoders"]
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_blockwise_step_matches_the_one_tape_step(case):
+    data, idx = tiny_dataset(), np.array([6, 1, 4, 0, 7, 2])  # blocks of 4 and 2
+    runs = []
+    for step in (trainer._train_step, one_tape_step):
+        model, switches, cache = step_case(case)
+        out = step(model, data, idx, cache, switches, TrainState(), 1e-3, OptimConfig())
+        runs.append((out, {n: t.data for n, t in model.store.items()},
+                     {n: t.grad for n, t in model.store.trainable_items()}))
+    ((losses, hits), params, grads), ((ref_losses, ref_hits), ref_params, ref_grads) = runs
+    assert np.array(losses).tobytes() == np.array(ref_losses).tobytes() and hits == ref_hits
+    # the blocks only reorder the weight- and text-gradient sums
+    assert grads.keys() == ref_grads.keys()
+    assert all((grads[n] is None) == (ref_grads[n] is None) for n in grads)
+    assert all(np.max(np.abs(grads[n] - ref_grads[n])) <= 1e-12
+               for n in grads if grads[n] is not None)
+    assert all(np.max(np.abs(params[n] - ref_params[n])) <= 1e-12 for n in params)
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_one_block_step_is_bit_identical_to_the_one_tape_step(case):
+    data, idx = tiny_dataset(), np.array([5, 0, 3])
+    runs = []
+    for step in (trainer._train_step, one_tape_step):
+        model, switches, cache = step_case(case)
+        runs.append((step(model, data, idx, cache, switches, TrainState(), 1e-3, OptimConfig()),
+                     param_bytes(model)))
+    assert runs[0] == runs[1]
+
+
+def test_each_block_runs_its_forward_and_backward_before_the_next(monkeypatch):
+    # trainable encoders: a block's samples are encoded only when it runs
+    model, switches, cache = step_case("trainable-encoders")
+    assert cache is None
+    events = []
+    real_encode, real_head, real_backward = model.encode_sample, model.head, ad.backward
+    monkeypatch.setattr(model, "encode_sample",
+                        lambda s: events.append("encode") or real_encode(s))
+    monkeypatch.setattr(model, "head", lambda *a: events.append("head") or real_head(*a))
+    monkeypatch.setattr(ad, "backward", lambda loss: events.append("backward")
+                        or real_backward(loss))
+    monkeypatch.setattr(trainer, "adamw_step", lambda *a: events.append("adamw"))
+    trainer._train_step(model, tiny_dataset(), np.arange(6), cache, switches, TrainState(),
+                        1e-3, OptimConfig())
+    assert events == ["encode"] * 4 + ["head", "backward"] + ["encode"] * 2 + [
+        "head", "backward", "adamw"]
+
+
+def desk_step_peak_mb(n_samples):
+    """tracemalloc peak of one cached training step on the default desk config."""
+    cfg = config.load_config(None, {"data.samples_per_class": 4,
+                                    "data.eval_samples_per_class": 0})
+    data, _ = config.make_datasets(cfg)
+    model = Model(cfg.model_config(), seed=cfg.seed)
+    cache, state = EncodingMemo().encode(model, data), TrainState()
+    for traced in (False, True):  # the untraced step allocates the AdamW moments
+        if traced:
+            tracemalloc.start()
+        trainer._train_step(model, data, np.arange(n_samples), cache, cfg.switches, state,
+                            1e-4, cfg.optim)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_a_training_step_holds_one_head_block_at_a_time():
+    assert trainer.HEAD_BATCH == 4
+    assert desk_step_peak_mb(16) <= 1.25 * desk_step_peak_mb(4)
