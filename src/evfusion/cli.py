@@ -95,8 +95,8 @@ def _train_and_eval(cfg: RunConfig, datasets: tuple[list[Sample], list[Sample]],
     encodings come from the command's memo."""
     train_set, eval_set = datasets
     model = Model(cfg.model_config(), seed=cfg.seed)
-    log = train(train_set, model, cfg.optim, cfg.switches, memo=memo)
-    metrics = evaluate(eval_set or train_set, model, cfg.switches, memo)
+    log = train(train_set, model, cfg.optim, memo=memo)
+    metrics = evaluate(eval_set or train_set, model, memo=memo)
     return model, log, metrics
 
 
@@ -137,7 +137,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg))
-    metrics = evaluate(_split_samples(cfg, "eval"), model, cfg.switches)
+    metrics = evaluate(_split_samples(cfg, "eval"), model)
     _write_json(out / "eval_metrics.json",
                 {k: metrics[k] for k in
                  ("top1", "top5", "per_class_accuracy", "confusion")})
@@ -255,7 +255,7 @@ def cmd_dump_embeddings(args) -> int:
     model.store.load(_checkpoint_path(args, cfg))
     dataset = _split_samples(cfg, args.split)
     encodings = (model.encode_sample(s) for s in dataset)
-    _, pooled = head_rows(model, encodings, model.text_tokens(cfg.switches), cfg.switches)
+    _, pooled = head_rows(model, encodings, model.text_tokens())
     path = out / f"embeddings_{args.split}.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-data", help="generate the synthetic dataset on disk")
     _flags(p)
-    p.add_argument("--event-format", choices=["csv", "binary"], default="csv")
+    p.add_argument("--event-format", choices=data_files.EVENT_FORMATS, default="csv")
     p.set_defaults(fn=cmd_synth_data)
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")

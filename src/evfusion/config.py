@@ -79,13 +79,16 @@ class RunConfig:
         return [c.label for c in self.data.classes]
 
     def model_config(self) -> ModelConfig:
+        """The model's config, carrying a copy of the run's switches. lvm is
+        applied here: off, both encoders become shallow and trainable."""
         rgb, event = self.rgb_encoder, self.event_encoder
         if not self.switches.lvm:
             rgb = _shallow(rgb, self.shallow_encoder_depth)
             event = _shallow(event, self.shallow_encoder_depth)
         return ModelConfig(rgb=rgb, event=event, text=self.text,
                            fusion=self.fusion, labels=self.labels,
-                           template=PromptTemplate(self.template))
+                           template=PromptTemplate(self.template),
+                           switches=replace(self.switches))
 
     def synth_spec(self, samples_per_class: int) -> SynthSpec:
         d = self.data

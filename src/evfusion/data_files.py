@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ContractError, ParseError, ValidationError
 from .events import (Sample, VideoClip, parse_events_binary, parse_events_csv,
                      write_events_binary, write_events_csv)
+
+
+EVENT_FORMATS = ("csv", "binary")
 
 
 def write_ppm(frame: np.ndarray, path: str | Path) -> None:
@@ -46,6 +49,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
 def write_sample(sample: Sample, directory: str | Path,
                  event_format: str = "csv") -> None:
+    if event_format not in EVENT_FORMATS:
+        raise ContractError(f"event_format {event_format!r} is not 'csv' or 'binary'")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(sample.clip.frames):
@@ -98,7 +103,7 @@ def read_sample(directory: str | Path) -> Sample:
         raise ValidationError(f"{directory}: resolution {resolution} is not two positive integers")
     if label < 0:
         raise ValidationError(f"{directory}: label {label} is negative")
-    if event_format not in ("csv", "binary"):
+    if event_format not in EVENT_FORMATS:
         raise ParseError(f"{directory}: event_format {event_format!r} is not 'csv' or 'binary'")
     frame_paths = [directory / f"frame_{i:03d}.ppm" for i in range(n_frames)]
     events_path = directory / ("events.csv" if event_format == "csv" else "events.bin")

@@ -2,7 +2,8 @@
 self-attention fusion, text-query cross-attention, and the classifier.
 
 The Model class bundles both encoders, the text branch, and the fusion
-parameters, and exposes the full forward pass with ablation switches.
+parameters, and exposes the full forward pass under the ablation switches
+its config fixes.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ class ModelConfig:
     fusion: FusionConfig = field(default_factory=FusionConfig)
     labels: list[str] = field(default_factory=list)
     template: PromptTemplate = field(default_factory=lambda: PromptTemplate("NONE"))
+    # every parameter exists whatever the switches; they select the stages
+    # the forward pass runs
+    switches: AblationSwitches = field(default_factory=AblationSwitches)
 
     def __post_init__(self):
         dims = {self.rgb.dim, self.event.dim, self.text.dim, self.fusion.dim}
@@ -163,19 +167,21 @@ class Model:
         fe = encode_clip(ev_frames, self.cfg.event, self.store, "event")
         return (ad.reshape(fv, (-1, fv.shape[-1])), ad.reshape(fe, (-1, fe.shape[-1])))
 
-    def text_tokens(self, switches: AblationSwitches) -> Tensor:
+    def text_tokens(self) -> Tensor:
         """Per-class text tokens; with sci off, semantics-free learned
         tokens of identical shape stand in.
 
-        Outside no_grad the text branch is built on the tape. Inside it the
-        (L, d) tokens depend only on the text config and the text.*
-        values, so they are computed once and served again while a digest
-        of those values is unchanged; a value written in place recomputes."""
-        if not switches.sci:
+        While a text.* parameter takes gradients, outside no_grad, the text
+        branch is built on the tape. Otherwise the (L, d) tokens depend only
+        on the text config and the text.* values, so they are computed once
+        and served again while a digest of those values is unchanged; a
+        value written in place recomputes."""
+        if not self.cfg.switches.sci:
             return self.store["fusion.free_tokens"]
-        if ad.grad_enabled():
+        params = [t for n, t in self.store.items() if n.startswith("text.")]
+        if ad.grad_enabled() and any(t.requires_grad for t in params):
             return self._encode_labels()
-        key = digest((t.data for n, t in self.store.items() if n.startswith("text.")),
+        key = digest((t.data for t in params),
                      self.cfg.text, self.cfg.template, self.cfg.labels)
         if self._text_memo is None or self._text_memo[0] != key:
             self._text_memo = (key, self._encode_labels().data)
@@ -185,15 +191,14 @@ class Model:
         return encode_labels(self.cfg.labels, self.cfg.template, self.cfg.text,
                              self.vocab, self.store, "text")
 
-    def head(self, fv: Tensor, fe: Tensor, ft: Tensor,
-             switches: AblationSwitches) -> tuple[Tensor, Tensor]:
+    def head(self, fv: Tensor, fe: Tensor, ft: Tensor) -> tuple[Tensor, Tensor]:
         """Fusion stages from encoded tokens to (logits, pooled features).
 
         fv and fe are (B, T, d) batches of encodings, or one sample's 2-D
         (T, d); the (L, d) text tokens ft broadcast over B. Every stage acts
         on each sample's tokens alone, so a batch gives the rows of B
         separate calls: (B, L) logits and (B, d) pooled features."""
-        cfg = self.cfg.fusion
+        cfg, switches = self.cfg.fusion, self.cfg.switches
         if switches.mt:
             fv, text_vt = multimodal_transformer(fv, ft, self.store, "fusion.mt_vt", cfg)
             fe, text_et = multimodal_transformer(fe, ft, self.store, "fusion.mt_et", cfg)
@@ -213,10 +218,8 @@ class Model:
 
         return classify(fused, ca_vt, ca_et, self.store, "fusion", cfg)
 
-    def forward(self, sample: Sample, switches: AblationSwitches | None = None) -> Tensor:
+    def forward(self, sample: Sample) -> Tensor:
         """Full pipeline: sample -> class logits of shape (1, L)."""
-        switches = switches or AblationSwitches()
         fv, fe = self.encode_sample(sample)
-        ft = self.text_tokens(switches)
-        logits, _ = self.head(fv, fe, ft, switches)
+        logits, _ = self.head(fv, fe, self.text_tokens())
         return logits

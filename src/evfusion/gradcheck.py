@@ -8,7 +8,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
 from .config import load_config, make_datasets
-from .fusion import AblationSwitches, Model
+from .fusion import Model
 from .trainer import cross_entropy
 
 PRIMITIVE_EPS = 1e-5
@@ -149,7 +149,6 @@ def end_to_end_check(seed: int = 0, n_params: int = 32,
     train, _ = make_datasets(cfg)
     sample = train[0]
     model = Model(cfg.model_config(), seed=cfg.seed)
-    switches = AblationSwitches()
 
     rng = np.random.default_rng(seed)
     # free_tokens only enter the graph with sci off; skip them here
@@ -165,7 +164,7 @@ def end_to_end_check(seed: int = 0, n_params: int = 32,
     chosen.extend(pool[i] for i in extra)
 
     def loss_fn():
-        logits = model.forward(sample, switches)
+        logits = model.forward(sample)
         return cross_entropy(logits, sample.label)
 
     err = finite_diff_check(loss_fn, [model.store[n] for n in chosen],

@@ -52,6 +52,12 @@ class TrainState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _check_labels(labels: np.ndarray, n: int, what: str) -> None:
+    bad = labels[(labels < 0) | (labels >= n)]
+    if bad.size:
+        raise ContractError(f"{what} {bad[0]} out of range for {n} classes")
+
+
 def cross_entropy(logits: Tensor, targets: int | Sequence[int]) -> Tensor:
     """Per-row -log softmax(logits)[target] in stable log-sum-exp form.
 
@@ -61,9 +67,7 @@ def cross_entropy(logits: Tensor, targets: int | Sequence[int]) -> Tensor:
     labels = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if labels.shape != (b,):
         raise ContractError(f"{labels.size} targets for {b} rows of logits")
-    bad = labels[(labels < 0) | (labels >= n)]
-    if bad.size:
-        raise ContractError(f"target {bad[0]} out of range for {n} classes")
+    _check_labels(labels, n, "target")
     return ad.add(ad.logsumexp_rows(logits), ad.neg_pick(logits, labels))
 
 
@@ -168,8 +172,7 @@ def _stack(parts: list[Tensor], what: str) -> Tensor:
 
 
 def head_blocks(model: Model, encodings: Iterable[tuple[Tensor, Tensor]],
-                texts: Iterable[Tensor],
-                switches: AblationSwitches) -> Iterator[tuple[Tensor, Tensor]]:
+                texts: Iterable[Tensor]) -> Iterator[tuple[Tensor, Tensor]]:
     """Run Model.head once per HEAD_BATCH of the (fv, fe) pairs and yield
     each block's (b, L) logits and (b, d) pooled features; the k-th block
     reads the k-th (L, d) text tokens of texts. A block's pairs are drawn
@@ -179,22 +182,21 @@ def head_blocks(model: Model, encodings: Iterable[tuple[Tensor, Tensor]],
     pairs, texts = iter(encodings), iter(texts)
     while chunk := list(itertools.islice(pairs, HEAD_BATCH)):
         yield model.head(_stack([fv for fv, _ in chunk], "vision"),
-                         _stack([fe for _, fe in chunk], "event"), next(texts), switches)
+                         _stack([fe for _, fe in chunk], "event"), next(texts))
         del chunk
 
 
-def head_rows(model: Model, encodings: Iterable[tuple[Tensor, Tensor]], ft: Tensor,
-              switches: AblationSwitches) -> tuple[Tensor, Tensor]:
+def head_rows(model: Model, encodings: Iterable[tuple[Tensor, Tensor]],
+              ft: Tensor) -> tuple[Tensor, Tensor]:
     """The stacked (N, L) logits and (N, d) pooled features of head_blocks
     over the (fv, fe) pairs, every block reading the text tokens ft."""
-    logits, pooled = zip(*head_blocks(model, encodings, itertools.repeat(ft), switches))
+    logits, pooled = zip(*head_blocks(model, encodings, itertools.repeat(ft)))
     return ad.concat_rows(*logits), ad.concat_rows(*pooled)
 
 
 def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
                 cache: list[tuple[np.ndarray, np.ndarray]] | None,
-                switches: AblationSwitches, state: TrainState, lr: float,
-                cfg: OptimConfig) -> tuple[list[float], int]:
+                state: TrainState, lr: float, cfg: OptimConfig) -> tuple[list[float], int]:
     """One optimizer step on dataset[idx]: per-sample losses and correct
     count. Each head block is backpropagated as soon as its forward ends
     and its tape is dropped before the next block starts; the weight
@@ -212,14 +214,14 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
     # block reads the taped tokens and its loss carries sum(ft * that
     # gradient), so one backward call passes the whole step's text gradient
     # into the text branch.
-    ft = model.text_tokens(switches)
+    ft = model.text_tokens()
     leaf = Tensor(ft.data, requires_grad=ft.requires_grad)
     texts = itertools.chain(itertools.repeat(leaf, n_blocks - 1), [ft])
     scale = Tensor(1.0 / len(idx))  # each sample's loss weighs 1/B of the batch mean
     losses, hits = [], 0
     # A plain for: enumerate and zip would keep the last block's outputs, and
     # with them its tape, alive while the next block runs.
-    for logits, pooled in head_blocks(model, encodings, texts, switches):
+    for logits, pooled in head_blocks(model, encodings, texts):
         block_labels = labels[len(losses):len(losses) + logits.shape[0]]
         rows = cross_entropy(logits, block_labels)
         if not np.isfinite(rows.data).all():
@@ -239,20 +241,28 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
     return losses, hits
 
 
+def _check_switches(model: Model, switches: AblationSwitches | None) -> None:
+    """A model runs the switches its config fixed when it was built; a caller
+    that names switches must name those."""
+    if switches is not None and switches != model.cfg.switches:
+        raise ContractError(f"switches {switches} differ from the model's {model.cfg.switches}")
+
+
 def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
           switches: AblationSwitches | None = None,
           eval_dataset: list[Sample] | None = None,
           memo: EncodingMemo | None = None) -> list[dict]:
     """Epoch loop with seeded shuffling; returns the per-epoch metric log.
 
-    When both encoders are frozen their per-sample outputs are constant
-    across steps: they come from memo (a fresh one when None), which also
-    serves every per-epoch evaluation of eval_dataset. Observable results
-    are unchanged; frozen parameters never update.
+    The model's config fixes its ablation switches; switches, when given,
+    must equal them. When both encoders are frozen their per-sample outputs
+    are constant across steps: they come from memo (a fresh one when None),
+    which also serves every per-epoch evaluation of eval_dataset. Observable
+    results are unchanged; frozen parameters never update.
     """
     if not dataset:
         raise ContractError("dataset must be nonempty")
-    switches = switches or AblationSwitches()
+    _check_switches(model, switches)
     rng = np.random.default_rng(cfg.seed)
     state = TrainState()
 
@@ -274,7 +284,7 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
             lr = cosine_lr(state.step, total_steps, cfg)
             try:
                 step_losses, step_hits = _train_step(model, dataset, idx, cache,
-                                                     switches, state, lr, cfg)
+                                                     state, lr, cfg)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, step {b}: {exc}") from exc
             epoch_losses += step_losses
@@ -291,7 +301,7 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
             "wall_ms": (time.perf_counter() - t0) * 1000.0,
         }
         if eval_dataset:
-            metrics = evaluate(eval_dataset, model, switches, memo)
+            metrics = evaluate(eval_dataset, model, memo=memo)
             record["eval_top1"] = metrics["top1"]
             record["eval_top5"] = metrics["top5"]
         log.append(record)
@@ -305,21 +315,23 @@ def evaluate(dataset: list[Sample], model: Model,
              switches: AblationSwitches | None = None,
              memo: EncodingMemo | None = None) -> dict:
     """Top-1/top-5 accuracy, per-class accuracy, confusion counts, and
-    per-sample softmax scores. Frozen encodings come from memo when one is
-    given; without one every sample is encoded and no key is computed."""
+    per-sample softmax scores. switches, when given, must equal those of the
+    model's config. Frozen encodings come from memo when one is given;
+    without one every sample is encoded and no key is computed."""
     if not dataset:
         raise ContractError("dataset must be nonempty")
-    switches = switches or AblationSwitches()
+    _check_switches(model, switches)
     n_classes = model.cfg.n_classes
+    labels = np.array([s.label for s in dataset])
+    _check_labels(labels, n_classes, "evaluate: label")
     cached = memo.encode(model, dataset) if memo is not None else None
     if cached is not None:
         encodings = ((Tensor(fv), Tensor(fe)) for fv, fe in cached)
     else:
         encodings = (model.encode_sample(s) for s in dataset)
-    logits = head_rows(model, encodings, model.text_tokens(switches), switches)[0].data
+    logits = head_rows(model, encodings, model.text_tokens())[0].data
     if not np.all(np.isfinite(logits)):
         raise NumericError("evaluate: non-finite logits")
-    labels = np.array([s.label for s in dataset])
     order = np.argsort(-logits, axis=1, kind="stable")  # ties: lower class first
     pred = np.argmax(logits, axis=1)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -399,7 +399,7 @@ def test_model_tape_numbers_every_node_after_its_parents():
     })
     sample = make_datasets(cfg)[0][0]
     model = Model(cfg.model_config(), seed=0)
-    loss = cross_entropy(model.forward(sample, cfg.switches), sample.label)
+    loss = cross_entropy(model.forward(sample), sample.label)
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()

@@ -241,6 +241,22 @@ def test_config_to_dict_json_serializable(tmp_path):
     assert json.loads(text)["optim"]["epochs"] == 2
 
 
+@pytest.mark.parametrize("pattern", ABLATION_PATTERNS,
+                         ids=lambda p: "-".join(k for k, v in p.items() if not v) or "all-on")
+def test_model_config_carries_the_run_switches(tmp_path, pattern):
+    cfg = load_config(write_tiny(tmp_path, switches=pattern))
+    mc = cfg.model_config()
+    assert mc.switches == cfg.switches == AblationSwitches(**pattern)
+    assert mc.switches is not cfg.switches  # the model keeps its own copy
+
+
+def test_write_sample_rejects_an_unknown_event_format_before_writing(tmp_path):
+    samples, _ = desk_samples()
+    with pytest.raises(ContractError, match="event_format 'CSV'"):
+        data_files.write_sample(samples[0], tmp_path / "s", event_format="CSV")
+    assert not (tmp_path / "s").exists()
+
+
 def test_lvm_off_uses_shallow_trainable_encoders(tmp_path):
     cfg = load_config(write_tiny(tmp_path, switches={"lvm": False},
                                  shallow_encoder_depth=0))
@@ -728,7 +744,7 @@ def test_cli_dump_embeddings(tmp_path):
     train_set, _ = make_datasets(cfg)
     with ad.no_grad():
         encodings = [model.encode_sample(s) for s in train_set]
-        _, pooled = head_rows(model, encodings, model.text_tokens(cfg.switches), cfg.switches)
+        _, pooled = head_rows(model, encodings, model.text_tokens())
     for row, sample, want in zip(rows[1:], train_set, pooled.data.tolist()):
         sample_id, label, *features = row.split(",")
         assert (sample_id, int(label)) == (sample.sample_id, sample.label)

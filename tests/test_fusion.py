@@ -29,7 +29,7 @@ def rand_seq(rng, n):
     return Tensor(rng.normal(size=(n, DIM)))
 
 
-def tiny_model_config(n_frames_unused=None):
+def tiny_model_config(n_frames_unused=None, **switches):
     enc = EncoderConfig(image_size=16, patch_size=8, dim=DIM, heads=2, depth=1,
                         mlp_ratio=2.0)
     return ModelConfig(
@@ -37,7 +37,8 @@ def tiny_model_config(n_frames_unused=None):
         text=TextConfig(dim=DIM, depth=1, heads=2, max_len=8),
         fusion=FusionConfig(dim=DIM, depth=1, heads=2, mlp_ratio=2.0),
         labels=list(LABELS),
-        template=PromptTemplate("The action is {}"))
+        template=PromptTemplate("The action is {}"),
+        switches=AblationSwitches(**switches))
 
 
 def tiny_sample(seed=0):
@@ -164,27 +165,26 @@ def test_free_tokens_used_only_when_sci_off():
     def grad_mass(t):
         return 0.0 if t.grad is None else np.abs(t.grad).sum()
 
-    model = Model(tiny_model_config(), seed=2)
     sample = tiny_sample()
 
+    model = Model(tiny_model_config(sci=False), seed=2)
     model.store.zero_grad()
-    backward(ad.sum_all(model.forward(sample, AblationSwitches(sci=False))))
+    backward(ad.sum_all(model.forward(sample)))
     assert grad_mass(model.store["fusion.free_tokens"]) > 0
     assert grad_mass(model.store["text.embed"]) == 0
 
+    model = Model(tiny_model_config(sci=True), seed=2)
     model.store.zero_grad()
-    backward(ad.sum_all(model.forward(sample, AblationSwitches(sci=True))))
+    backward(ad.sum_all(model.forward(sample)))
     assert grad_mass(model.store["fusion.free_tokens"]) == 0
     assert grad_mass(model.store["text.embed"]) > 0
 
 
 def test_every_switch_pattern_runs_and_changes_output():
-    model = Model(tiny_model_config(), seed=3)
     sample = tiny_sample()
-    base = model.forward(sample, AblationSwitches()).data
+    base = Model(tiny_model_config(), seed=3).forward(sample).data
     for name in ("sci", "mt", "sa", "ca"):
-        sw = AblationSwitches(**{name: False})
-        out = model.forward(sample, sw).data
+        out = Model(tiny_model_config(**{name: False}), seed=3).forward(sample).data
         assert out.shape == (1, 4)
         assert np.all(np.isfinite(out))
         assert not np.array_equal(out, base), f"switch {name} had no effect"

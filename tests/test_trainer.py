@@ -23,7 +23,7 @@ LABELS = ["square moving right", "square moving left",
 DIM = 16
 
 
-def tiny_model(seed=0, labels=LABELS):
+def tiny_model(seed=0, labels=LABELS, **switches):
     enc = EncoderConfig(image_size=16, patch_size=8, dim=DIM, heads=2, depth=1,
                         mlp_ratio=2.0)
     cfg = ModelConfig(
@@ -31,7 +31,8 @@ def tiny_model(seed=0, labels=LABELS):
         text=TextConfig(dim=DIM, depth=1, heads=2, max_len=8),
         fusion=FusionConfig(dim=DIM, depth=1, heads=2, mlp_ratio=2.0),
         labels=list(labels),
-        template=PromptTemplate("The action is {}"))
+        template=PromptTemplate("The action is {}"),
+        switches=fusion.AblationSwitches(**switches))
     return Model(cfg, seed=seed)
 
 
@@ -253,6 +254,39 @@ def test_evaluate_empty_dataset_rejected():
         evaluate([], tiny_model())
 
 
+@pytest.mark.parametrize("label", [4, -1])
+def test_evaluate_rejects_a_label_outside_the_classes(label):
+    data = tiny_dataset(samples_per_class=1)
+    data[1] = dataclasses.replace(data[1], label=label)
+    with pytest.raises(ContractError, match=f"^evaluate: label {label} out of range for 4 "):
+        evaluate(data, tiny_model())
+
+
+# -- ablation switches -----------------------------------------------------------
+
+def test_evaluate_runs_the_switches_the_model_was_built_with():
+    data = tiny_dataset(samples_per_class=1)
+    model = tiny_model(seed=3, ca=False)
+    result = evaluate(data, model)
+    assert result == evaluate(data, model, model.cfg.switches)
+    assert result != evaluate(data, tiny_model(seed=3))  # the ca stage did not run
+
+
+@pytest.mark.parametrize("run", [
+    lambda data, model, sw, memo: train(data, model, OptimConfig(epochs=1, batch_size=4), sw,
+                                        eval_dataset=data, memo=memo),
+    lambda data, model, sw, memo: evaluate(data, model, sw, memo),
+], ids=["train", "evaluate"])
+def test_switches_other_than_the_models_are_rejected_before_any_work(monkeypatch, run):
+    data, model, memo = tiny_dataset(samples_per_class=1), tiny_model(seed=2), EncodingMemo()
+    before = param_bytes(model)
+    calls = count_label_encodes(monkeypatch)
+    with pytest.raises(ContractError, match="differ from the model's"):
+        run(data, model, fusion.AblationSwitches(ca=False), memo)
+    assert param_bytes(model) == before
+    assert len(memo) == 0 and not calls
+
+
 # -- train loop ----------------------------------------------------------------
 
 def test_train_log_schema_and_length():
@@ -291,10 +325,10 @@ def test_train_deterministic_across_runs():
     assert np.array_equal(finals[0], finals[1])
 
 
-def per_sample_step(model, dataset, idx, cache, switches, state, lr, cfg):
+def per_sample_step(model, dataset, idx, cache, state, lr, cfg):
     """Reference step: one cross_entropy per sample, an add chain, then 1/B."""
     model.store.zero_grad()
-    ft = model.text_tokens(switches)
+    ft = model.text_tokens()
     losses, hits = [], 0
     for i in idx:
         sample = dataset[i]
@@ -302,7 +336,7 @@ def per_sample_step(model, dataset, idx, cache, switches, state, lr, cfg):
             fv, fe = Tensor(cache[i][0]), Tensor(cache[i][1])
         else:
             fv, fe = model.encode_sample(sample)
-        logits, _ = model.head(fv, fe, ft, switches)
+        logits, _ = model.head(fv, fe, ft)
         losses.append(cross_entropy(logits, sample.label))
         hits += int(np.argmax(logits.data)) == sample.label
     batch_loss = losses[0]
@@ -518,12 +552,21 @@ def test_text_tokens_recomputed_after_an_in_place_text_edit(monkeypatch):
     assert second == evaluate(data, fresh)
 
 
+def test_training_with_a_frozen_text_branch_encodes_the_labels_once(monkeypatch):
+    data = tiny_dataset()
+    model = tiny_model(seed=3)
+    model.store.freeze("text.")
+    calls = count_label_encodes(monkeypatch)
+    log = train(data, model, OptimConfig(epochs=3, batch_size=4))
+    assert len(log) == 3 and len(calls) == 1  # 6 steps
+
+
 def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
     data = tiny_dataset(samples_per_class=1)
     model = tiny_model(seed=3)
     evaluate(data, model)  # fills the no-grad text tokens
     calls = count_label_encodes(monkeypatch)
-    ft = model.text_tokens(fusion.AblationSwitches())
+    ft = model.text_tokens()
     assert len(calls) == 1 and ft.requires_grad and ft._parents
     model.store.zero_grad()
     backward(ad.sum_all(ad.mul(ft, ft)))
@@ -602,13 +645,11 @@ def frozen_encodings(model, data):
 @pytest.mark.parametrize("combo", SWITCH_COMBOS,
                          ids=lambda c: "-".join(f"{k}{int(v)}" for k, v in c.items()))
 def test_head_rows_bit_equals_per_sample_heads(combo):
-    model = tiny_model(seed=1)
+    model = tiny_model(seed=1, **combo)
     enc = frozen_encodings(model, tiny_dataset()[:6])  # sub-batches of 4 and 2
-    switches = fusion.AblationSwitches(**combo)
-    ft = model.text_tokens(switches)
-    logits, pooled = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc), ft,
-                               switches)
-    rows = [model.head(Tensor(a), Tensor(b), ft, switches) for a, b in enc]
+    ft = model.text_tokens()
+    logits, pooled = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc), ft)
+    rows = [model.head(Tensor(a), Tensor(b), ft) for a, b in enc]
     assert logits.shape == (6, len(LABELS)) and pooled.shape == (6, DIM)
     assert logits.data.tobytes() == np.concatenate([r[0].data for r in rows]).tobytes()
     assert pooled.data.tobytes() == np.concatenate([r[1].data for r in rows]).tobytes()
@@ -621,14 +662,13 @@ def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
     calls = []
     real = Model.head
 
-    def counted(self, fv, fe, ft, switches):
+    def counted(self, fv, fe, ft):
         calls.append(fv.shape[0])
-        return real(self, fv, fe, ft, switches)
+        return real(self, fv, fe, ft)
 
     monkeypatch.setattr(Model, "head", counted)
-    switches = fusion.AblationSwitches()
     logits, _ = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc),
-                          model.text_tokens(switches), switches)
+                          model.text_tokens())
     assert logits.shape[0] == n
     assert len(calls) == math.ceil(n / trainer.HEAD_BATCH)
     assert all(b == trainer.HEAD_BATCH for b in calls[:-1])
@@ -637,11 +677,9 @@ def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
 def test_head_rows_rejects_encodings_of_different_token_counts():
     model = tiny_model()
     (fv, fe), = frozen_encodings(model, tiny_dataset()[:1])
-    switches = fusion.AblationSwitches()
     short = (Tensor(fv[1:]), Tensor(fe))
     with pytest.raises(DimensionError, match="vision encodings differ"):
-        head_rows(model, [(Tensor(fv), Tensor(fe)), short], model.text_tokens(switches),
-                  switches)
+        head_rows(model, [(Tensor(fv), Tensor(fe)), short], model.text_tokens())
 
 
 def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
@@ -649,14 +687,13 @@ def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
     # gradient flows through its own rows of the stacked batch only
     model = tiny_model(seed=2)
     enc = frozen_encodings(model, tiny_dataset()[:5])
-    switches = fusion.AblationSwitches()
     weights = np.random.default_rng(0).normal(size=(5, len(LABELS)))
     pairs = [(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)) for a, b in enc]
-    logits, _ = head_rows(model, pairs, model.text_tokens(switches), switches)
+    logits, _ = head_rows(model, pairs, model.text_tokens())
     backward(ad.sum_all(ad.mul(logits, Tensor(weights))))
     for (fv, fe), w in zip(pairs, weights):
         one = [Tensor(fv.data, requires_grad=True), Tensor(fe.data, requires_grad=True)]
-        row, _ = model.head(*one, model.text_tokens(switches), switches)
+        row, _ = model.head(*one, model.text_tokens())
         backward(ad.sum_all(ad.mul(row, Tensor(w[None]))))
         assert fv.grad.tobytes() == one[0].grad.tobytes()
         assert fe.grad.tobytes() == one[1].grad.tobytes()
@@ -680,7 +717,7 @@ def test_batched_train_runs_are_bit_identical(frozen):
 
 # -- blockwise training step -----------------------------------------------------
 
-def one_tape_step(model, dataset, idx, cache, switches, state, lr, cfg):
+def one_tape_step(model, dataset, idx, cache, state, lr, cfg):
     """Reference step: every head block of the batch on one tape, then a
     single backward from the batch-mean loss."""
     model.store.zero_grad()
@@ -688,7 +725,7 @@ def one_tape_step(model, dataset, idx, cache, switches, state, lr, cfg):
         encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
     else:
         encodings = (model.encode_sample(dataset[i]) for i in idx)
-    logits, _ = head_rows(model, encodings, model.text_tokens(switches), switches)
+    logits, _ = head_rows(model, encodings, model.text_tokens())
     labels = np.array([dataset[i].label for i in idx])
     losses = cross_entropy(logits, labels)
     backward(ad.mean_rows(losses))
@@ -697,15 +734,14 @@ def one_tape_step(model, dataset, idx, cache, switches, state, lr, cfg):
 
 
 def step_case(case):
-    """A fresh model, its switches and its encoder cache for one step case."""
-    model = tiny_model(seed=5)
+    """A fresh model and its encoder cache for one step case."""
+    model = tiny_model(seed=5, sci=case != "sci-off")
     if case == "frozen-text":
         model.store.freeze("text.")
     if case == "trainable-encoders":
         for name, t in model.store.items():
             t.requires_grad = t.requires_grad or name.startswith(("rgb.", "event."))
-    switches = fusion.AblationSwitches(sci=case != "sci-off")
-    return model, switches, EncodingMemo().encode(model, tiny_dataset())
+    return model, EncodingMemo().encode(model, tiny_dataset())
 
 
 STEP_CASES = ["sci-on", "sci-off", "frozen-text", "trainable-encoders"]
@@ -716,8 +752,8 @@ def test_blockwise_step_matches_the_one_tape_step(case):
     data, idx = tiny_dataset(), np.array([6, 1, 4, 0, 7, 2])  # blocks of 4 and 2
     runs = []
     for step in (trainer._train_step, one_tape_step):
-        model, switches, cache = step_case(case)
-        out = step(model, data, idx, cache, switches, TrainState(), 1e-3, OptimConfig())
+        model, cache = step_case(case)
+        out = step(model, data, idx, cache, TrainState(), 1e-3, OptimConfig())
         runs.append((out, {n: t.data for n, t in model.store.items()},
                      {n: t.grad for n, t in model.store.trainable_items()}))
     ((losses, hits), params, grads), ((ref_losses, ref_hits), ref_params, ref_grads) = runs
@@ -735,15 +771,15 @@ def test_one_block_step_is_bit_identical_to_the_one_tape_step(case):
     data, idx = tiny_dataset(), np.array([5, 0, 3])
     runs = []
     for step in (trainer._train_step, one_tape_step):
-        model, switches, cache = step_case(case)
-        runs.append((step(model, data, idx, cache, switches, TrainState(), 1e-3, OptimConfig()),
+        model, cache = step_case(case)
+        runs.append((step(model, data, idx, cache, TrainState(), 1e-3, OptimConfig()),
                      param_bytes(model)))
     assert runs[0] == runs[1]
 
 
 def test_each_block_runs_its_forward_and_backward_before_the_next(monkeypatch):
     # trainable encoders: a block's samples are encoded only when it runs
-    model, switches, cache = step_case("trainable-encoders")
+    model, cache = step_case("trainable-encoders")
     assert cache is None
     events = []
     real_encode, real_head, real_backward = model.encode_sample, model.head, ad.backward
@@ -753,7 +789,7 @@ def test_each_block_runs_its_forward_and_backward_before_the_next(monkeypatch):
     monkeypatch.setattr(ad, "backward", lambda loss: events.append("backward")
                         or real_backward(loss))
     monkeypatch.setattr(trainer, "adamw_step", lambda *a: events.append("adamw"))
-    trainer._train_step(model, tiny_dataset(), np.arange(6), cache, switches, TrainState(),
+    trainer._train_step(model, tiny_dataset(), np.arange(6), cache, TrainState(),
                         1e-3, OptimConfig())
     assert events == ["encode"] * 4 + ["head", "backward"] + ["encode"] * 2 + [
         "head", "backward", "adamw"]
@@ -769,7 +805,7 @@ def desk_step_peak_mb(n_samples):
     for traced in (False, True):  # the untraced step allocates the AdamW moments
         if traced:
             tracemalloc.start()
-        trainer._train_step(model, data, np.arange(n_samples), cache, cfg.switches, state,
+        trainer._train_step(model, data, np.arange(n_samples), cache, state,
                             1e-4, cfg.optim)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
