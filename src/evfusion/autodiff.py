@@ -1,7 +1,10 @@
 """Dense-tensor reverse-mode autodiff engine.
 
-Tensors wrap row-major float64 numpy arrays of at least two axes: the last
-two are rows and columns. ``linear``, ``add``, ``layer_norm``,
+Tensors wrap row-major float32 or float64 numpy arrays of at least two
+axes: the last two are rows and columns. The operands fix the dtype: each
+primitive computes and allocates in the dtype of its inputs, so float64 in
+gives float64 out, and a leaf's ``.grad`` is float64 whatever the dtype of
+the graph. ``linear``, ``add``, ``layer_norm``,
 ``concat_rows``, ``slice_rows``, ``mean_rows``, ``reshape``,
 ``scaled_dot_attention`` and the elementwise ops also take leading batch
 axes (the frames of a clip, the samples of a batch); ``matmul``,
@@ -33,6 +36,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 _node_ids = itertools.count()
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 # Deliberately corrupts one backward rule when enabled; negative control
 # for the gradient-check harness.
@@ -79,12 +83,16 @@ def attention_weights():
 
 
 class Tensor:
-    """A float64 array plus its place in the computation graph."""
+    """A float32 or float64 array plus its place in the computation graph;
+    the operands fix the dtype. Such an ndarray is kept as given, anything
+    else is converted to float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = data
+        if type(arr) is not np.ndarray or (arr.dtype is not _F64 and arr.dtype is not _F32):
+            arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -351,7 +359,7 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    data = np.array([[a.data.sum()]])
+    data = np.array([[a.data.sum()]], dtype=a.data.dtype)
 
     def backward(g):
         return (np.full_like(a.data, g[0, 0]),)
@@ -415,7 +423,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
         return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2)
 
     def into(shape, a, b):  # a @ b written head by head into a new array
-        out = np.empty(shape)
+        out = np.empty(shape, dtype=b.dtype)
         np.matmul(a, b, out=split(out))
         return out
 
@@ -474,11 +482,11 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     while heap:
         _, node = heapq.heappop(heap)
         if node._backward is None:  # a leaf keeps its entry in grads
-            g = grads[node.node_id]
+            g = grads[node.node_id]  # .grad is float64: the first g is upcast
             if node.grad is not None:
                 node.grad = node.grad + g
             else:
-                node.grad = g if node.node_id in owned else g.copy()
+                node.grad = g.astype(np.float64, copy=node.node_id not in owned)
             continue
         g = grads.pop(node.node_id)
         for parent, pg in zip(node._parents, node._backward(g)):

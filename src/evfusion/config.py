@@ -15,7 +15,7 @@ from .encoders import EncoderConfig
 from .errors import ConfigError, ContractError, EvFusionError
 from .events import DIRECTIONS, SHAPES, MotionClass, Sample, SynthSpec, synth_dataset
 from .fusion import AblationSwitches, FusionConfig, ModelConfig
-from .text import PromptTemplate, TextConfig, render_prompt
+from .text import PromptTemplate, TextConfig, _words, render_prompt
 from .trainer import OptimConfig
 
 SWEEP_FRAME_COUNTS = [1, 3, 5, 7]
@@ -297,10 +297,13 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError("class labels must be non-empty")
     try:
         template = PromptTemplate(cfg.template)
-        for label in labels:
-            render_prompt(template, label)
+        prompts = [render_prompt(template, label) for label in labels]
     except (ContractError, ValueError, LookupError) as exc:
         raise ConfigError(f"template {cfg.template!r}: {exc}") from exc
+    for label, prompt in zip(labels, prompts):
+        if not _words(prompt):
+            raise ConfigError(f"label {label!r} renders to no tokens under template "
+                              f"{cfg.template!r}")
     if len(set(labels)) != len(labels):
         raise ConfigError("class labels must be distinct")
     if cfg.data.dvs_threshold <= 0:

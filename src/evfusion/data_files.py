@@ -47,10 +47,14 @@ def read_ppm(path: str | Path) -> np.ndarray:
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
-def write_sample(sample: Sample, directory: str | Path,
-                 event_format: str = "csv") -> None:
+def _check_event_format(event_format: str) -> None:
     if event_format not in EVENT_FORMATS:
         raise ContractError(f"event_format {event_format!r} is not 'csv' or 'binary'")
+
+
+def write_sample(sample: Sample, directory: str | Path,
+                 event_format: str = "csv") -> None:
+    _check_event_format(event_format)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(sample.clip.frames):
@@ -123,6 +127,7 @@ def read_sample(directory: str | Path) -> Sample:
 def write_dataset(samples: list[Sample], labels: list[str],
                   out_dir: str | Path, event_format: str = "csv",
                   split: str = "train") -> Path:
+    _check_event_format(event_format)  # before anything is created
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     histogram: dict[str, int] = {}

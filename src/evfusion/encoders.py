@@ -108,7 +108,9 @@ def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
     patches = (img.reshape(*lead, g, p, g, p, 3)
                   .swapaxes(-4, -3)
                   .reshape(*lead, g * g, p * p * 3))
-    embedded = blocks.linear(store, f"{prefix}.patch", Tensor(patches))
+    dtype = store[f"{prefix}.patch.w"].data.dtype  # the encoder's compute dtype
+    embedded = blocks.linear(store, f"{prefix}.patch",
+                             Tensor(patches.astype(dtype, copy=False)))
     with_cls = ad.concat_rows(store[f"{prefix}.cls"], embedded)
     return ad.add(with_cls, store[f"{prefix}.pos"])
 

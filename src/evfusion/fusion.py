@@ -153,7 +153,7 @@ class Model:
         init_encoder_params(self.store, "event", cfg.event, rng)
         init_text_params(self.store, "text", cfg.text, self.vocab, rng)
         init_fusion_params(self.store, "fusion", cfg.fusion, cfg.n_classes, rng)
-        self._text_memo: tuple[bytes, np.ndarray] | None = None
+        self._text_memo: dict[np.dtype, tuple[bytes, np.ndarray]] = {}
 
     # -- forward stages --------------------------------------------------
 
@@ -174,8 +174,8 @@ class Model:
         While a text.* parameter takes gradients, outside no_grad, the text
         branch is built on the tape. Otherwise the (L, d) tokens depend only
         on the text config and the text.* values, so they are computed once
-        and served again while a digest of those values is unchanged; a
-        value written in place recomputes."""
+        per dtype of those values and served again while a digest of them
+        is unchanged; a value written in place recomputes."""
         if not self.cfg.switches.sci:
             return self.store["fusion.free_tokens"]
         params = [t for n, t in self.store.items() if n.startswith("text.")]
@@ -183,9 +183,11 @@ class Model:
             return self._encode_labels()
         key = digest((t.data for t in params),
                      self.cfg.text, self.cfg.template, self.cfg.labels)
-        if self._text_memo is None or self._text_memo[0] != key:
-            self._text_memo = (key, self._encode_labels().data)
-        return Tensor(self._text_memo[1])
+        dtype = params[0].data.dtype  # training steps and evaluation each keep theirs
+        entry = self._text_memo.get(dtype)
+        if entry is None or entry[0] != key:
+            entry = self._text_memo[dtype] = (key, self._encode_labels().data)
+        return Tensor(entry[1])
 
     def _encode_labels(self) -> Tensor:
         return encode_labels(self.cfg.labels, self.cfg.template, self.cfg.text,

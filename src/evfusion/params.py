@@ -10,6 +10,7 @@ frozen is set by the config.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -74,6 +75,21 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
+
+    @contextlib.contextmanager
+    def cast(self, dtype):
+        """Hold every value as a dtype copy inside the block, so the graphs
+        built there compute in dtype; the float64 values come back on exit,
+        also when the block raises. Gradients stay float64, so an optimizer
+        step after the block updates the float64 values."""
+        masters = [(t, t.data) for t in self._params.values()]
+        try:
+            for t, data in masters:
+                t.data = data.astype(dtype, copy=False)
+            yield
+        finally:
+            for t, data in masters:
+                t.data = data
 
     # -- checkpointing --------------------------------------------------
 

@@ -161,6 +161,11 @@ class EncodingMemo:
 # memory does not grow with the batch size.
 HEAD_BATCH = 4
 
+# The dtype of a training step's forward and backward passes. Parameter
+# values, gradients, AdamW moments, checkpoints and every pass outside
+# training (forward, evaluate, the gradient check) stay float64.
+TRAIN_DTYPE = np.float32
+
 
 def _stack(parts: list[Tensor], what: str) -> Tensor:
     """n (T, d) encodings as one (n, T, d) batch, on the tape when they are."""
@@ -198,41 +203,47 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
                 cache: list[tuple[np.ndarray, np.ndarray]] | None,
                 state: TrainState, lr: float, cfg: OptimConfig) -> tuple[list[float], int]:
     """One optimizer step on dataset[idx]: per-sample losses and correct
-    count. Each head block is backpropagated as soon as its forward ends
-    and its tape is dropped before the next block starts; the weight
-    gradients accumulate in .grad. Raises NumericError, updating nothing,
-    when a loss or a trainable gradient is not finite."""
+    count. The forward and backward passes compute in TRAIN_DTYPE on a cast
+    of the parameters; AdamW then updates the float64 values from the
+    float64 gradients. Each head block is backpropagated as soon as its
+    forward ends and its tape is dropped before the next block starts; the
+    weight gradients accumulate in .grad. Raises NumericError, updating
+    nothing, when a loss or a trainable gradient is not finite."""
     model.store.zero_grad()
-    if cache is not None:
-        encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
+    dtype = TRAIN_DTYPE
+    if cache is not None:  # a cache of another dtype is cast to the step's
+        encodings = ((Tensor(cache[i][0].astype(dtype, copy=False)),
+                      Tensor(cache[i][1].astype(dtype, copy=False))) for i in idx)
     else:
         encodings = (model.encode_sample(dataset[i]) for i in idx)
     labels = np.array([dataset[i].label for i in idx])
     n_blocks = -(-len(idx) // HEAD_BATCH)
-    # The text branch is built once per step. Every block but the last reads
-    # its tokens through a detached leaf that gathers their gradient; the last
-    # block reads the taped tokens and its loss carries sum(ft * that
-    # gradient), so one backward call passes the whole step's text gradient
-    # into the text branch.
-    ft = model.text_tokens()
-    leaf = Tensor(ft.data, requires_grad=ft.requires_grad)
-    texts = itertools.chain(itertools.repeat(leaf, n_blocks - 1), [ft])
-    scale = Tensor(1.0 / len(idx))  # each sample's loss weighs 1/B of the batch mean
-    losses, hits = [], 0
-    # A plain for: enumerate and zip would keep the last block's outputs, and
-    # with them its tape, alive while the next block runs.
-    for logits, pooled in head_blocks(model, encodings, texts):
-        block_labels = labels[len(losses):len(losses) + logits.shape[0]]
-        rows = cross_entropy(logits, block_labels)
-        if not np.isfinite(rows.data).all():
-            raise NumericError(f"non-finite loss {rows.data.mean()}")
-        losses += rows.data[:, 0].tolist()
-        hits += int(np.sum(np.argmax(logits.data, axis=1) == block_labels))
-        loss = ad.mul(ad.sum_all(rows), scale)
-        if len(losses) == len(idx) and leaf.grad is not None:  # the last block
-            loss = ad.add(loss, ad.sum_all(ad.mul(ft, Tensor(leaf.grad))))
-        ad.backward(loss)
-        del logits, pooled, rows, loss  # the block's tape goes with them
+    with model.store.cast(dtype):
+        # The text branch is built once per step. Every block but the last
+        # reads its tokens through a detached leaf that gathers their
+        # gradient; the last block reads the taped tokens and its loss
+        # carries sum(ft * that gradient), so one backward call passes the
+        # whole step's text gradient into the text branch.
+        ft = model.text_tokens()
+        leaf = Tensor(ft.data, requires_grad=ft.requires_grad)
+        texts = itertools.chain(itertools.repeat(leaf, n_blocks - 1), [ft])
+        # each sample's loss weighs 1/B of the batch mean
+        scale = Tensor(np.array([[1.0 / len(idx)]], dtype=dtype))
+        losses, hits = [], 0
+        # A plain for: enumerate and zip would keep the last block's outputs,
+        # and with them its tape, alive while the next block runs.
+        for logits, pooled in head_blocks(model, encodings, texts):
+            block_labels = labels[len(losses):len(losses) + logits.shape[0]]
+            rows = cross_entropy(logits, block_labels)
+            if not np.isfinite(rows.data).all():
+                raise NumericError(f"non-finite loss {rows.data.mean()}")
+            losses += rows.data[:, 0].tolist()
+            hits += int(np.sum(np.argmax(logits.data, axis=1) == block_labels))
+            loss = ad.mul(ad.sum_all(rows), scale)
+            if len(losses) == len(idx) and leaf.grad is not None:  # the last block
+                loss = ad.add(loss, ad.sum_all(ad.mul(ft, Tensor(leaf.grad.astype(dtype)))))
+            ad.backward(loss)
+            del logits, pooled, rows, loss  # the block's tape goes with them
     for name, p in model.store.trainable_items():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(
@@ -257,8 +268,10 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
     The model's config fixes its ablation switches; switches, when given,
     must equal them. When both encoders are frozen their per-sample outputs
     are constant across steps: they come from memo (a fresh one when None),
-    which also serves every per-epoch evaluation of eval_dataset. Observable
-    results are unchanged; frozen parameters never update.
+    which also serves every per-epoch evaluation of eval_dataset. The steps
+    and their memo entries compute in TRAIN_DTYPE, the evaluations in
+    float64; the memo keys on the dtype, so the two never share an entry.
+    Frozen parameters never update.
     """
     if not dataset:
         raise ContractError("dataset must be nonempty")
@@ -267,7 +280,8 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
     state = TrainState()
 
     memo = memo if memo is not None else EncodingMemo()
-    cache = memo.encode(model, dataset)
+    with model.store.cast(TRAIN_DTYPE):  # the cache is read in the steps' dtype
+        cache = memo.encode(model, dataset)
 
     n = len(dataset)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size

@@ -257,6 +257,13 @@ def test_write_sample_rejects_an_unknown_event_format_before_writing(tmp_path):
     assert not (tmp_path / "s").exists()
 
 
+def test_write_dataset_rejects_an_unknown_event_format_before_creating_anything(tmp_path):
+    samples, _ = desk_samples()
+    with pytest.raises(ContractError, match="event_format 'CSV'"):
+        data_files.write_dataset(samples, ["a", "b"], tmp_path / "d", event_format="CSV")
+    assert not (tmp_path / "d").exists()
+
+
 def test_lvm_off_uses_shallow_trainable_encoders(tmp_path):
     cfg = load_config(write_tiny(tmp_path, switches={"lvm": False},
                                  shallow_encoder_depth=0))
@@ -673,6 +680,20 @@ def test_read_dataset_fuzz_only_typed_errors(written_dataset, doc):
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def test_cli_punctuation_only_label_is_a_config_error(tmp_path, monkeypatch, capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("run\n!!!\n")
+    doc = json.loads(json.dumps(TINY))
+    doc["data"].pop("classes")
+    doc["data"]["labels_file"] = str(labels)
+    path = write_tiny(tmp_path, data=doc["data"], template="NONE",
+                      out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
+    assert run_cli(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: label '!!!' renders to no tokens under template 'NONE'\n"
 
 
 def test_cli_config_error_exit_code(tmp_path):

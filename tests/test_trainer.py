@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 import weakref
@@ -349,6 +350,7 @@ def per_sample_step(model, dataset, idx, cache, state, lr, cfg):
 
 @pytest.mark.parametrize("cached", [True, False])
 def test_train_matches_per_sample_reference_step(monkeypatch, cached):
+    monkeypatch.setattr(trainer, "TRAIN_DTYPE", np.float64)
     if not cached:  # force the path that re-encodes every step
         monkeypatch.setattr(trainer.EncodingMemo, "encode", lambda self, m, d: None)
     data = tiny_dataset()
@@ -561,6 +563,15 @@ def test_training_with_a_frozen_text_branch_encodes_the_labels_once(monkeypatch)
     assert len(log) == 3 and len(calls) == 1  # 6 steps
 
 
+def test_frozen_text_branch_is_encoded_once_per_dtype_over_train_and_evaluations(monkeypatch):
+    data = tiny_dataset()
+    model = tiny_model(seed=3)
+    model.store.freeze("text.")
+    calls = count_label_encodes(monkeypatch)
+    log = train(data, model, OptimConfig(epochs=3, batch_size=4), eval_dataset=data[:2])
+    assert len(log) == 3 and len(calls) == 2  # the steps' float32, the evaluations' float64
+
+
 def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
     data = tiny_dataset(samples_per_class=1)
     model = tiny_model(seed=3)
@@ -748,7 +759,8 @@ STEP_CASES = ["sci-on", "sci-off", "frozen-text", "trainable-encoders"]
 
 
 @pytest.mark.parametrize("case", STEP_CASES)
-def test_blockwise_step_matches_the_one_tape_step(case):
+def test_blockwise_step_matches_the_one_tape_step(monkeypatch, case):
+    monkeypatch.setattr(trainer, "TRAIN_DTYPE", np.float64)
     data, idx = tiny_dataset(), np.array([6, 1, 4, 0, 7, 2])  # blocks of 4 and 2
     runs = []
     for step in (trainer._train_step, one_tape_step):
@@ -767,7 +779,8 @@ def test_blockwise_step_matches_the_one_tape_step(case):
 
 
 @pytest.mark.parametrize("case", STEP_CASES)
-def test_one_block_step_is_bit_identical_to_the_one_tape_step(case):
+def test_one_block_step_is_bit_identical_to_the_one_tape_step(monkeypatch, case):
+    monkeypatch.setattr(trainer, "TRAIN_DTYPE", np.float64)
     data, idx = tiny_dataset(), np.array([5, 0, 3])
     runs = []
     for step in (trainer._train_step, one_tape_step):
@@ -815,3 +828,82 @@ def desk_step_peak_mb(n_samples):
 def test_a_training_step_holds_one_head_block_at_a_time():
     assert trainer.HEAD_BATCH == 4
     assert desk_step_peak_mb(16) <= 1.25 * desk_step_peak_mb(4)
+
+
+# -- float32 training steps, float64 everything else ----------------------------
+
+def record_node_dtypes(monkeypatch):
+    """The dtype of every tape node _make creates from now on."""
+    real, seen = ad._make, []
+    monkeypatch.setattr(ad, "_make", lambda data, *a: seen.append(data.dtype) or real(data, *a))
+    return seen
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_a_float32_step_creates_only_float32_nodes(monkeypatch, case):
+    assert trainer.TRAIN_DTYPE is np.float32
+    model, cache = step_case(case)  # a float64 cache: the step casts it
+    seen = record_node_dtypes(monkeypatch)
+    trainer._train_step(model, tiny_dataset(), np.arange(6), cache, TrainState(),
+                        1e-3, OptimConfig())
+    assert seen and set(seen) == {np.dtype(np.float32)}
+
+
+def test_train_keeps_float64_values_moments_checkpoints_and_inference(monkeypatch, tmp_path):
+    model, data, states = tiny_model(seed=1), tiny_dataset(), []
+    real = trainer.adamw_step
+    monkeypatch.setattr(trainer, "adamw_step",
+                        lambda m, state, *a: states.append(state) or real(m, state, *a))
+    train(data, model, OptimConfig(epochs=2, batch_size=4), eval_dataset=data[:2])
+    f64 = np.dtype(np.float64)
+    assert {t.data.dtype for t in model.store.tensors()} == {f64}
+    assert {t.grad.dtype for _, t in model.store.trainable_items()
+            if t.grad is not None} == {f64}
+    state = states[-1]
+    assert state.m and {a.dtype for a in [*state.m.values(), *state.v.values()]} == {f64}
+    model.store.save(tmp_path / "m.ckpt")
+    assert json.loads((tmp_path / "m.ckpt.json").read_text())["dtype"] == "<f8"
+    seen = record_node_dtypes(monkeypatch)
+    assert model.forward(data[0]).data.dtype == f64
+    evaluate(data, model)
+    assert seen and set(seen) == {f64}
+
+
+def test_a_float32_step_agrees_with_a_float64_step(monkeypatch):
+    # float32 keeps about 7 significant digits: the losses (about 1.4) agree
+    # to 1e-6, the gradients to 1e-7 and the parameters after one AdamW step
+    # of lr 1e-3 to 1e-5, a hundredth of that step
+    runs = []
+    for dtype in (np.float32, np.float64):
+        monkeypatch.setattr(trainer, "TRAIN_DTYPE", dtype)
+        model, cache = step_case("sci-on")
+        out = trainer._train_step(model, tiny_dataset(), np.arange(8), cache, TrainState(),
+                                  1e-3, OptimConfig())
+        runs.append((out, {n: t.data for n, t in model.store.items()},
+                     {n: t.grad for n, t in model.store.trainable_items()}))
+    ((losses, hits), params, grads), ((ref_losses, ref_hits), ref_params, ref_grads) = runs
+    assert hits == ref_hits
+    assert np.max(np.abs(np.array(losses) - ref_losses)) <= 1e-6
+    assert all((grads[n] is None) == (ref_grads[n] is None) for n in grads)
+    assert all(np.max(np.abs(grads[n] - ref_grads[n])) <= 1e-7
+               for n in grads if grads[n] is not None)
+    assert all(np.max(np.abs(params[n] - ref_params[n])) <= 1e-5 for n in params)
+
+
+def test_evaluate_after_train_with_a_shared_memo_is_float64_exact():
+    data, memo = tiny_dataset(), EncodingMemo()
+    model = tiny_model(seed=3)
+    train(data, model, OptimConfig(epochs=2, batch_size=4), memo=memo)
+    assert len(memo) == len(data)  # the steps' float32 entries
+    assert evaluate(data, model, memo=memo) == evaluate(data, model)
+    assert len(memo) == 2 * len(data)  # a float64 entry of each sample beside it
+
+
+def test_param_store_cast_restores_the_float64_values_when_the_block_raises():
+    model = tiny_model()
+    before = {n: t.data for n, t in model.store.items()}
+    with pytest.raises(NumericError):
+        with model.store.cast(np.float32):
+            assert {t.data.dtype for t in model.store.tensors()} == {np.dtype(np.float32)}
+            raise NumericError("stop")
+    assert all(t.data is before[n] for n, t in model.store.items())
