@@ -15,7 +15,7 @@ from .encoders import EncoderConfig
 from .errors import ConfigError, ContractError, EvFusionError
 from .events import DIRECTIONS, SHAPES, MotionClass, Sample, SynthSpec, synth_dataset
 from .fusion import AblationSwitches, FusionConfig, ModelConfig
-from .text import PromptTemplate, TextConfig, _words, render_prompt
+from .text import PromptTemplate, TextConfig
 from .trainer import OptimConfig
 
 SWEEP_FRAME_COUNTS = [1, 3, 5, 7]
@@ -268,9 +268,8 @@ def load_config(path: str | Path | None = None,
 
 
 def validate(cfg: RunConfig) -> None:
-    """Cross-module consistency; raises ConfigError with actionable text."""
-    if len(cfg.data.classes) < 2:
-        raise ConfigError("data.classes: need at least 2 classes")
+    """Run-level checks, then the model's own ones by building its config;
+    raises ConfigError with actionable text."""
     d = cfg.data
     for name, value, low in [
             ("seed", cfg.seed, 0), ("shallow_encoder_depth", cfg.shallow_encoder_depth, 0),
@@ -278,36 +277,15 @@ def validate(cfg: RunConfig) -> None:
             ("data.eval_samples_per_class", d.eval_samples_per_class, 0),
             ("data.frames", d.frames, 1), ("data.resolution", min(d.resolution), 1),
             ("data.oversample", d.oversample, 1),
-            ("data.frame_interval_us", d.frame_interval_us, 1),
-            ("text.heads", cfg.text.heads, 1), ("text.max_len", cfg.text.max_len, 1),
-            ("fusion.heads", cfg.fusion.heads, 1)]:
+            ("data.frame_interval_us", d.frame_interval_us, 1)]:
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
-    dims = {"rgb_encoder.dim": cfg.rgb_encoder.dim,
-            "event_encoder.dim": cfg.event_encoder.dim,
-            "text.dim": cfg.text.dim, "fusion.dim": cfg.fusion.dim}
-    if len(set(dims.values())) != 1:
-        raise ConfigError(f"all branch widths must agree, got {dims}")
-    for section in ("text", "fusion"):
-        dim, heads = getattr(cfg, section).dim, getattr(cfg, section).heads
-        if dim % heads != 0:
-            raise ConfigError(f"{section}.dim {dim} not divisible by {section}.heads {heads}")
-    labels = cfg.labels
-    if not all(labels):
-        raise ConfigError("class labels must be non-empty")
-    try:
-        template = PromptTemplate(cfg.template)
-        prompts = [render_prompt(template, label) for label in labels]
-    except (ContractError, ValueError, LookupError) as exc:
-        raise ConfigError(f"template {cfg.template!r}: {exc}") from exc
-    for label, prompt in zip(labels, prompts):
-        if not _words(prompt):
-            raise ConfigError(f"label {label!r} renders to no tokens under template "
-                              f"{cfg.template!r}")
-    if len(set(labels)) != len(labels):
-        raise ConfigError("class labels must be distinct")
-    if cfg.data.dvs_threshold <= 0:
+    if d.dvs_threshold <= 0:
         raise ConfigError("data.dvs_threshold must be positive")
+    try:
+        cfg.model_config()
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -117,8 +117,6 @@ def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,
 
 def encoder_forward(x: Tensor, cfg: EncoderConfig, store: ParamStore,
                     prefix: str) -> Tensor:
-    if x.shape[-1] != cfg.dim:
-        raise ContractError(f"token width {x.shape[-1]} != encoder dim {cfg.dim}")
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
     return x

@@ -280,10 +280,6 @@ class SynthSpec:
     def __post_init__(self):
         if len(self.classes) < 2:
             raise ContractError("SynthSpec needs at least 2 classes")
-        if self.samples_per_class < 1:
-            raise ContractError("samples_per_class must be >= 1")
-        if self.n_frames < 1:
-            raise ContractError("n_frames must be >= 1")
 
 
 @dataclass

@@ -15,11 +15,12 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import Tensor
-from .encoders import EncoderConfig, encode_clip
-from .errors import ContractError, DimensionError
+from .encoders import EncoderConfig, encode_clip, init_encoder_params
+from .errors import ContractError
 from .events import Sample, stack_events
 from .params import ParamStore, digest
-from .text import PromptTemplate, TextConfig, Vocabulary, encode_labels, render_prompt
+from .text import (PromptTemplate, TextConfig, Vocabulary, _words, encode_labels,
+                   init_text_params, render_prompt)
 
 
 @dataclass
@@ -29,6 +30,13 @@ class FusionConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
 
+    def __post_init__(self):
+        if self.heads < 1:
+            raise ContractError(f"fusion.heads must be >= 1, got {self.heads}")
+        if self.dim % self.heads != 0:
+            raise ContractError(
+                f"fusion.dim {self.dim} not divisible by fusion.heads {self.heads}")
+
 
 @dataclass
 class AblationSwitches:
@@ -37,11 +45,6 @@ class AblationSwitches:
     mt: bool = True    # multimodal transformers
     sa: bool = True    # vision-event self-attention fusion
     ca: bool = True    # text-query cross-attention
-
-
-def _check_width(t: Tensor, dim: int, what: str) -> None:
-    if t.shape[-1] != dim:
-        raise DimensionError(f"{what}: width {t.shape[-1]} != fusion dim {dim}")
 
 
 def init_fusion_params(store: ParamStore, prefix: str, cfg: FusionConfig,
@@ -64,8 +67,6 @@ def multimodal_transformer(modality: Tensor, text: Tensor, store: ParamStore,
                            prefix: str, cfg: FusionConfig) -> tuple[Tensor, Tensor]:
     """Joint self-attention over [modality; text]; split back afterwards.
     modality is (..., T, d); a (L, d) text broadcasts over its batch axes."""
-    _check_width(modality, cfg.dim, "multimodal_transformer modality")
-    _check_width(text, cfg.dim, "multimodal_transformer text")
     x = ad.concat_rows(modality, text)
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
@@ -78,8 +79,6 @@ def fuse_vision_event(fv: Tensor, fe: Tensor, store: ParamStore,
     """Residual self-attention over the concatenated vision+event tokens.
     No positional encodings are added here, so the block is
     permutation-equivariant over its input rows."""
-    _check_width(fv, cfg.dim, "fuse_vision_event vision")
-    _check_width(fe, cfg.dim, "fuse_vision_event event")
     return blocks.attention_only_block(store, prefix, ad.concat_rows(fv, fe), cfg.heads)
 
 
@@ -88,8 +87,6 @@ def cross_attention(text: Tensor, fused: Tensor, store: ParamStore,
     """Text tokens query the fused tokens; one output row per class,
     with a residual connection from the text query. A (L, d) text is
     projected once and broadcast over the batch axes of fused."""
-    _check_width(text, cfg.dim, "cross_attention text")
-    _check_width(fused, cfg.dim, "cross_attention fused")
     q = blocks.linear(store, f"{prefix}.wq", text)
     k = blocks.linear(store, f"{prefix}.wk", fused)
     v = blocks.linear(store, f"{prefix}.wv", fused)
@@ -124,11 +121,16 @@ class ModelConfig:
     switches: AblationSwitches = field(default_factory=AblationSwitches)
 
     def __post_init__(self):
-        dims = {self.rgb.dim, self.event.dim, self.text.dim, self.fusion.dim}
-        if len(dims) != 1:
-            raise ContractError(f"all branch widths must agree, got {dims}")
         if len(self.labels) < 2:
-            raise ContractError("need at least 2 class labels")
+            raise ContractError(f"data.classes: need at least 2 classes, got {len(self.labels)}")
+        dims = {"rgb_encoder.dim": self.rgb.dim, "event_encoder.dim": self.event.dim,
+                "text.dim": self.text.dim, "fusion.dim": self.fusion.dim}
+        if len(set(dims.values())) != 1:
+            raise ContractError(f"all branch widths must agree, got {dims}")
+        for label in self.labels:
+            if not _words(render_prompt(self.template, label)):
+                raise ContractError(f"label {label!r} renders to no tokens under template "
+                                    f"{self.template.template!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ContractError("class labels must be distinct")
 
@@ -141,9 +143,6 @@ class Model:
     """All parameters plus the end-to-end forward pass."""
 
     def __init__(self, cfg: ModelConfig, seed: int):
-        from .encoders import init_encoder_params
-        from .text import init_text_params
-
         self.cfg = cfg
         prompts = [render_prompt(cfg.template, lb) for lb in cfg.labels]
         self.vocab = Vocabulary.build(prompts)

@@ -30,9 +30,16 @@ class PromptTemplate:
     template: str
 
     def __post_init__(self):
-        if self.template != NONE_TEMPLATE and self.template.count("{}") != 1:
+        if self.is_none:
+            return
+        if self.template.count("{}") != 1:
             raise ContractError(
                 f"template must contain exactly one {{}} placeholder: {self.template!r}")
+        try:
+            self.template.format("label")
+        except (ValueError, LookupError) as exc:
+            raise ContractError(f"template {self.template!r} does not format: "
+                                f"{type(exc).__name__}: {exc}") from exc
 
     @property
     def is_none(self) -> bool:
@@ -86,6 +93,13 @@ class TextConfig:
     max_len: int = 12
     frozen: bool = False
 
+    def __post_init__(self):
+        for name, value in (("heads", self.heads), ("max_len", self.max_len)):
+            if value < 1:
+                raise ContractError(f"text.{name} must be >= 1, got {value}")
+        if self.dim % self.heads != 0:
+            raise ContractError(f"text.dim {self.dim} not divisible by text.heads {self.heads}")
+
 
 def init_text_params(store: ParamStore, prefix: str, cfg: TextConfig,
                      vocab: Vocabulary, rng: np.random.Generator) -> None:
@@ -106,13 +120,10 @@ def encode_one_label(label: str, tpl: PromptTemplate, cfg: TextConfig,
     """One pooled (1 x dim) text token for a single class label."""
     ids = tokenize(render_prompt(tpl, label), vocab, cfg.max_len)
     real = [i for i in ids if i != PAD]
-    n_real = len(real)
-    if n_real == 0:
-        raise ContractError(f"label {label!r} renders to no tokens")
     # PAD positions are masked out entirely: they enter neither the
     # attention nor the pooled mean, so extra padding cannot leak in
     x = ad.take_rows(store[f"{prefix}.embed"], real)
-    x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, n_real))
+    x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, len(real)))
     for i in range(cfg.depth):
         x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
     pooled = ad.mean_rows(x)

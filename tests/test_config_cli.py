@@ -138,8 +138,10 @@ def test_config_error_cases(tmp_path):
     ({"data": {"frames": "3"}}, "data.frames"),
     ({"fusion": {"heads": 0}}, "fusion.heads"),
     ({"data": []}, "data"),
+    ({"text": {"heads": 0}}, "text.heads"),
+    ({"text": {"dim": 10}}, "text.dim"),
 ], ids=["resolution-int", "betas-float", "seed-str", "top-level-list", "frames-str",
-        "heads-zero", "data-list"])
+        "heads-zero", "data-list", "text-heads-zero", "text-dim-indivisible"])
 def test_wrongly_typed_config_value_is_a_config_error_naming_it(tmp_path, capsys, doc, field):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -940,6 +942,7 @@ def test_cli_eval_commands_make_only_the_clips_they_read(tmp_path, monkeypatch, 
     (["sweep-frames", "--frame-counts", "1", "0"], "data.frames must be >= 1, got 0"),
     (["sweep-frames", "--frame-counts", "-3"], "data.frames must be >= 1, got -3"),
     (["sweep-prompts", "--templates", "A {}", "no placeholder"], "'no placeholder'"),
+    (["sweep-prompts", "--templates", "A {}", "a {} {x}"], "'a {} {x}'"),
 ])
 def test_cli_sweep_checks_every_value_before_the_first_row(tmp_path, monkeypatch, capsys,
                                                            argv, match):

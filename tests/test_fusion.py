@@ -138,6 +138,11 @@ def test_model_config_contracts():
     enc = EncoderConfig(image_size=16, patch_size=8, dim=32, heads=2)
     with pytest.raises(ContractError):
         ModelConfig(rgb=enc, labels=["a", "b"])  # width mismatch vs defaults
+    for build in (lambda: TextConfig(dim=10, heads=4), lambda: TextConfig(max_len=0),
+                  lambda: FusionConfig(heads=0), lambda: FusionConfig(dim=10, heads=4),
+                  lambda: ModelConfig(labels=["run", "!!!"])):
+        with pytest.raises(ContractError):
+            build()
 
 
 def test_model_forward_logit_shape():

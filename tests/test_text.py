@@ -28,6 +28,12 @@ def test_template_requires_single_placeholder():
         PromptTemplate("{} twice {}")
 
 
+@pytest.mark.parametrize("text", ["a {} {x}", "{0} {}", "{} {", "{} {1}", "{}}"])
+def test_template_that_does_not_format_is_rejected_at_construction(text):
+    with pytest.raises(ContractError, match="does not format"):
+        PromptTemplate(text)
+
+
 def test_render_prompt_substitution_and_none():
     tpl = PromptTemplate("A photo of a {}")
     assert render_prompt(tpl, "cat") == "A photo of a cat"
