@@ -8,12 +8,12 @@ the graph. ``linear``, ``add``, ``layer_norm``,
 ``concat_rows``, ``slice_rows``, ``mean_rows``, ``reshape``,
 ``scaled_dot_attention`` and the elementwise ops also take leading batch
 axes (the frames of a clip, the samples of a batch); ``matmul``,
-``logsumexp_rows``, ``take_rows`` and ``neg_pick`` are 2-D. Every
-differentiable operation records its parents and a backward closure on the
-output, forming an acyclic define-by-run tape, except inside ``no_grad``.
-``backward`` visits each node reachable from the loss once, in decreasing
-creation order, and accumulates gradients into ``Tensor.grad`` of the
-leaves.
+``logsumexp_rows`` and ``neg_pick`` are 2-D, and so is ``take_rows``' table,
+whose indices may have any shape. Every differentiable operation records
+its parents and a backward closure on the output, forming an acyclic
+define-by-run tape, except inside ``no_grad``. ``backward`` visits each
+node reachable from its root once, in decreasing creation order, and
+accumulates gradients into ``Tensor.grad`` of the leaves.
 
 Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
 arrays it allocated itself. It never writes into its inputs, the upstream
@@ -367,12 +367,12 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def take_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of a table (embedding lookup); backward scatter-adds."""
+def take_rows(table: Tensor, indices) -> Tensor:
+    """Gather rows of a 2-D table (embedding lookup): an index array of shape
+    S gives S + (n,), so (k,) indices give a (k, n) matrix and (G, k) ones a
+    (G, k, n) batch. The backward scatter-adds."""
     _check_2d("take_rows", table)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ContractError("take_rows: indices must be one-dimensional")
+    idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ContractError(
             f"take_rows: index out of range for table with {table.shape[0]} rows")
@@ -457,17 +457,29 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse-sweep from a scalar loss, visiting nodes in decreasing creation order.
+def backward(root: Tensor, grad: np.ndarray | None = None) -> dict[int, np.ndarray]:
+    """Reverse-sweep from root, visiting nodes in decreasing creation order.
+
+    grad is the seed: the gradient of the quantity being differentiated
+    with respect to root, of root's shape. A scalar root (a loss) may omit
+    it and is seeded with one; so backward(root, g) gives exactly the
+    gradients of backward(sum_all(mul(root, Tensor(g)))). The sweep never
+    writes into grad.
 
     Accumulates into .grad of every leaf (requires_grad tensor with no
-    backward rule) reachable from the loss and returns {node_id: gradient}
+    backward rule) reachable from root and returns {node_id: gradient}
     for those leaves. Each intermediate gradient is dropped once it has
     been passed on. Repeated calls without zero_grad accumulate.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
+    if grad is None:
+        if root.data.size != 1:
+            raise ContractError(
+                f"backward: a root of shape {root.shape} needs a seed gradient")
+        grad = np.ones_like(root.data)
+    elif np.shape(grad) != root.shape:
+        raise ContractError(
+            f"backward: seed of shape {np.shape(grad)} for a root of shape {root.shape}")
+    if not root.requires_grad:
         return {}
 
     # _make numbers every output after its parents, so each node's consumers
@@ -476,9 +488,9 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
     # A gradient's first contribution may be shared (add hands one g to both
     # parents) or a view (concat_rows), so the first sum allocates; the ids in
     # owned hold such sums, and later contributions are added into them.
-    grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {root.node_id: grad}
     owned: set[int] = set()
-    heap: list[tuple[int, Tensor]] = [(-loss.node_id, loss)]
+    heap: list[tuple[int, Tensor]] = [(-root.node_id, root)]
     while heap:
         _, node = heapq.heappop(heap)
         if node._backward is None:  # a leaf keeps its entry in grads

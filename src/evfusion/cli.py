@@ -27,7 +27,7 @@ from .errors import ConfigError, NumericError, ParseError, ValidationError
 from .events import Sample
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
-from .trainer import EncodingMemo, evaluate, head_rows, train
+from .trainer import EncodingMemo, encode_blocks, evaluate, head_rows, train
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -254,8 +254,7 @@ def cmd_dump_embeddings(args) -> int:
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg))
     dataset = _split_samples(cfg, args.split)
-    encodings = (model.encode_sample(s) for s in dataset)
-    _, pooled = head_rows(model, encodings, model.text_tokens())
+    _, pooled = head_rows(model, encode_blocks(model, dataset), model.text_tokens())
     path = out / f"embeddings_{args.split}.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -3,14 +3,15 @@
 A frame is bilinearly resized to a square, cut into non-overlapping
 patches, linearly projected, prefixed with a learned class token, and
 given learned positional embeddings, then run through a stack of
-pre-norm transformer blocks. All frames of a clip run as one batched
-(frames, tokens, dim) forward in which each frame attends only within
-itself. The RGB and event branches own separate parameter sets.
+pre-norm transformer blocks. All frames of one or more clips run as one
+batched (frames, tokens, dim) forward in which each frame attends only
+within itself. The RGB and event branches own separate parameter sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .events import EventFrameSequence, VideoClip
 from .params import ParamStore
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     image_size: int = 32
     patch_size: int = 8
@@ -122,15 +123,13 @@ def encoder_forward(x: Tensor, cfg: EncoderConfig, store: ParamStore,
     return x
 
 
-def encode_clip(clip: VideoClip | EventFrameSequence, cfg: EncoderConfig,
+def encode_clip(clips: Sequence[VideoClip | EventFrameSequence], cfg: EncoderConfig,
                 store: ParamStore, prefix: str) -> Tensor:
-    """Encode all F frames of a clip as one (F, tokens, dim) forward; frame j
-    of the result is exactly the encoding of frame j alone."""
-    if isinstance(clip, EventFrameSequence):
-        frames = [event_frame_to_rgb(f) for f in clip.frames]
-    else:
-        frames = clip.frames
+    """Encode all frames of the clips, in order, as one (frames, tokens, dim)
+    forward; frame j of the result is exactly the encoding of frame j alone."""
+    frames = [event_frame_to_rgb(f) if isinstance(clip, EventFrameSequence) else f
+              for clip in clips for f in clip.frames]
     if not frames:
-        raise ContractError("encode_clip: empty clip")
+        raise ContractError("encode_clip: no frames")
     batch = np.stack([bilinear_resize(f, cfg.image_size) for f in frames])
     return encoder_forward(patchify_embed(batch, cfg, store, prefix), cfg, store, prefix)

@@ -9,6 +9,7 @@ its config fixes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -16,14 +17,14 @@ from . import autodiff as ad
 from . import blocks
 from .autodiff import Tensor
 from .encoders import EncoderConfig, encode_clip, init_encoder_params
-from .errors import ContractError
+from .errors import ContractError, DimensionError
 from .events import Sample, stack_events
-from .params import ParamStore, digest
+from .params import ParamStore
 from .text import (PromptTemplate, TextConfig, Vocabulary, _words, encode_labels,
                    init_text_params, render_prompt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
     dim: int = 64
     depth: int = 1          # blocks per multimodal transformer
@@ -152,19 +153,25 @@ class Model:
         init_encoder_params(self.store, "event", cfg.event, rng)
         init_text_params(self.store, "text", cfg.text, self.vocab, rng)
         init_fusion_params(self.store, "fusion", cfg.fusion, cfg.n_classes, rng)
-        self._text_memo: dict[np.dtype, tuple[bytes, np.ndarray]] = {}
+        self._text_memo: dict[np.dtype, tuple[tuple, np.ndarray]] = {}
 
     # -- forward stages --------------------------------------------------
 
-    def encode_sample(self, sample: Sample) -> tuple[Tensor, Tensor]:
-        """Encode a sample's RGB clip and stacked event frames; each branch's
-        (frames, tokens, dim) encoding is flattened frame-major to
-        (frames * tokens, dim)."""
-        w, h = sample.events.resolution
-        ev_frames = stack_events(sample.events, sample.clip.timestamps, (w, h))
-        fv = encode_clip(sample.clip, self.cfg.rgb, self.store, "rgb")
-        fe = encode_clip(ev_frames, self.cfg.event, self.store, "event")
-        return (ad.reshape(fv, (-1, fv.shape[-1])), ad.reshape(fe, (-1, fe.shape[-1])))
+    def encode_sample(self, samples: Sequence[Sample]) -> tuple[Tensor, Tensor]:
+        """Encode the RGB clips and stacked event frames of b samples of F
+        frames each, every branch as one (b * F, tokens, dim) forward, and
+        return each branch's encodings as (b, F * tokens, dim): row i is
+        sample i's frames, frame-major, exactly as if it were encoded alone."""
+        frames = [len(s.clip) for s in samples]
+        if len(set(frames)) > 1:
+            raise DimensionError(f"encode_sample: samples of {frames} frames do not "
+                                 "stack into one (b, F * tokens, dim) batch")
+        events = [stack_events(s.events, s.clip.timestamps, s.events.resolution)
+                  for s in samples]
+        fv = encode_clip([s.clip for s in samples], self.cfg.rgb, self.store, "rgb")
+        fe = encode_clip(events, self.cfg.event, self.store, "event")
+        b = len(samples)
+        return (ad.reshape(fv, (b, -1, fv.shape[-1])), ad.reshape(fe, (b, -1, fe.shape[-1])))
 
     def text_tokens(self) -> Tensor:
         """Per-class text tokens; with sci off, semantics-free learned
@@ -172,16 +179,18 @@ class Model:
 
         While a text.* parameter takes gradients, outside no_grad, the text
         branch is built on the tape. Otherwise the (L, d) tokens depend only
-        on the text config and the text.* values, so they are computed once
-        per dtype of those values and served again while a digest of them
-        is unchanged; a value written in place recomputes."""
+        on the text config, the template, the labels and the text.* values,
+        so they are computed once per dtype of those values and served again
+        while all of these are unchanged: the key holds their repr and each
+        value's exact dtype, shape and bytes, so a value written in place
+        recomputes."""
         if not self.cfg.switches.sci:
             return self.store["fusion.free_tokens"]
         params = [t for n, t in self.store.items() if n.startswith("text.")]
         if ad.grad_enabled() and any(t.requires_grad for t in params):
             return self._encode_labels()
-        key = digest((t.data for t in params),
-                     self.cfg.text, self.cfg.template, self.cfg.labels)
+        key = (repr((self.cfg.text, self.cfg.template, self.cfg.labels)),
+               [(t.data.dtype.str, t.data.shape, t.data.tobytes()) for t in params])
         dtype = params[0].data.dtype  # training steps and evaluation each keep theirs
         entry = self._text_memo.get(dtype)
         if entry is None or entry[0] != key:
@@ -221,6 +230,6 @@ class Model:
 
     def forward(self, sample: Sample) -> Tensor:
         """Full pipeline: sample -> class logits of shape (1, L)."""
-        fv, fe = self.encode_sample(sample)
+        fv, fe = self.encode_sample([sample])
         logits, _ = self.head(fv, fe, self.text_tokens())
         return logits

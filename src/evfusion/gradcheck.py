@@ -28,8 +28,9 @@ def _weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
 def primitive_checks(seed: int = 0) -> dict[str, float]:
     """Max relative finite-difference error for every differentiable
     primitive on random inputs in [-1, 1]; the `_3d` entries give the
-    primitive a leading batch axis, and `_broadcast_q` gives attention one
-    query matrix for a batch of keys and values."""
+    primitive a leading batch axis, `_broadcast_q` gives attention one
+    query matrix for a batch of keys and values, and `take_rows_2d` gathers
+    a (2, 3) index array."""
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
@@ -123,6 +124,9 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     results["scaled_dot_attention_broadcast_q"] = finite_diff_check(
         lambda: _weighted_sum(ad.scaled_dot_attention(q4, k3, v3, heads=4), w43),
         [q4, k3, v3], PRIMITIVE_EPS)
+    results["take_rows_2d"] = finite_diff_check(
+        lambda: _weighted_sum(ad.take_rows(table, [[4, 0, 2], [2, 2, 1]]), w3),
+        [table], PRIMITIVE_EPS)
     return results
 
 

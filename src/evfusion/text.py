@@ -2,8 +2,9 @@
 
 Each class label is rendered into a sentence via a template, tokenized
 against a word-level vocabulary built from the closed label set, run
-through a small transformer, mean-pooled over non-PAD positions, and
-projected to the fusion width — producing one text token per class.
+through a small transformer (the labels of equal token count as one
+batch), mean-pooled over non-PAD positions, and projected to the fusion
+width — producing one text token per class.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
     return ids + [PAD] * (max_len - len(ids))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TextConfig:
     dim: int = 64          # internal width and output (fusion) width
     depth: int = 1
@@ -115,27 +116,33 @@ def init_text_params(store: ParamStore, prefix: str, cfg: TextConfig,
         store.freeze(prefix)
 
 
-def encode_one_label(label: str, tpl: PromptTemplate, cfg: TextConfig,
-                     vocab: Vocabulary, store: ParamStore, prefix: str) -> Tensor:
-    """One pooled (1 x dim) text token for a single class label."""
-    ids = tokenize(render_prompt(tpl, label), vocab, cfg.max_len)
-    real = [i for i in ids if i != PAD]
-    # PAD positions are masked out entirely: they enter neither the
-    # attention nor the pooled mean, so extra padding cannot leak in
-    x = ad.take_rows(store[f"{prefix}.embed"], real)
-    x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, len(real)))
-    for i in range(cfg.depth):
-        x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
-    pooled = ad.mean_rows(x)
-    return blocks.linear(store, f"{prefix}.proj", pooled)
-
-
 def encode_labels(labels: list[str], tpl: PromptTemplate, cfg: TextConfig,
                   vocab: Vocabulary, store: ParamStore, prefix: str) -> Tensor:
-    """Encode every class label into one token; row i = class i."""
+    """Encode every class label into one token; row i = class i.
+
+    The labels whose prompts have the same number of real tokens run as
+    one (G, n, dim) forward; the rows then return to class order. PAD
+    positions are dropped before the forward: they enter neither the
+    attention nor the pooled mean, so extra padding cannot leak in."""
     if len(labels) < 2:
         raise ContractError("need at least 2 labels")
     if len(set(labels)) != len(labels):
         raise ContractError("labels must be distinct")
-    rows = [encode_one_label(lb, tpl, cfg, vocab, store, prefix) for lb in labels]
-    return ad.concat_rows(*rows)
+    ids = [[i for i in tokenize(render_prompt(tpl, lb), vocab, cfg.max_len) if i != PAD]
+           for lb in labels]
+    groups: dict[int, list[int]] = {}  # real token count -> its classes, in order
+    for c, row in enumerate(ids):
+        groups.setdefault(len(row), []).append(c)
+    parts = []
+    for n, classes in groups.items():
+        x = ad.take_rows(store[f"{prefix}.embed"], [ids[c] for c in classes])
+        x = ad.add(x, ad.slice_rows(store[f"{prefix}.pos"], 0, n))
+        for i in range(cfg.depth):
+            x = blocks.transformer_block(store, f"{prefix}.block{i}", x, cfg.heads)
+        pooled = blocks.linear(store, f"{prefix}.proj", ad.mean_rows(x))  # (G, 1, dim)
+        parts.append(ad.reshape(pooled, (len(classes), pooled.shape[-1])))
+    tokens = ad.concat_rows(*parts)
+    order = [c for classes in groups.values() for c in classes]
+    if order != sorted(order):
+        tokens = ad.take_rows(tokens, np.argsort(order))
+    return tokens

@@ -119,7 +119,7 @@ def cosine_lr(step: int, total_steps: int, cfg: OptimConfig) -> float:
 class EncodingMemo:
     """Frozen-encoder outputs for the length of one command.
 
-    Maps (encoder key, sample key) to the (fv, fe) arrays of
+    Maps (encoder key, sample key) to the sample's (fv, fe) rows of
     Model.encode_sample. Both keys are content digests: the encoder key
     covers both encoder configs and the value of every rgb.* and event.*
     parameter, so a parameter written in place misses instead of serving
@@ -137,28 +137,33 @@ class EncodingMemo:
     def encode(self, model: Model,
                dataset: list[Sample]) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """The (fv, fe) arrays of each sample, encoding only the samples
-        not yet memoised under the model's encoders; None when an encoder
-        trains, since its outputs would change every step."""
+        not yet memoised under the model's encoders, HEAD_BATCH to a
+        Model.encode_sample call; None when an encoder trains, since its
+        outputs would change every step."""
         params = [t for n, t in model.store.items() if n.startswith(("rgb.", "event."))]
         if any(t.requires_grad for t in params):
             return None
         encoder_key = digest((t.data for t in params), model.cfg.rgb, model.cfg.event)
-        out = []
+        keys = []
         for s in dataset:
             ev = s.events
-            key = (encoder_key, digest([*s.clip.frames, s.clip.timestamps,
-                                         ev.x, ev.y, ev.t, ev.p], ev.resolution))
-            if key not in self._entries:
-                fv, fe = model.encode_sample(s)
-                self._entries[key] = (fv.data, fe.data)
-            out.append(self._entries[key])
-        return out
+            keys.append((encoder_key, digest([*s.clip.frames, s.clip.timestamps,
+                                              ev.x, ev.y, ev.t, ev.p], ev.resolution)))
+        # each missing key once: samples with equal keys have equal content
+        misses = list({k: s for k, s in zip(keys, dataset) if k not in self._entries}.items())
+        for i in range(0, len(misses), HEAD_BATCH):
+            block = misses[i:i + HEAD_BATCH]
+            fv, fe = model.encode_sample([s for _, s in block])
+            for j, (key, _) in enumerate(block):
+                self._entries[key] = (fv.data[j], fe.data[j])
+        return [self._entries[key] for key in keys]
 
 
-# Samples per Model.head call, and per forward-then-backward block of a
-# training step. A block's saved (HEAD_BATCH, heads, T, T) attention weights
-# stay cache-sized, and a step holds one block's tape at a time, so its peak
-# memory does not grow with the batch size.
+# Samples per Model.encode_sample and Model.head call, and per
+# forward-then-backward block of a training step. A block's saved
+# (HEAD_BATCH, heads, T, T) attention weights stay cache-sized, and a step
+# holds one block's tape at a time, so its peak memory does not grow with
+# the batch size.
 HEAD_BATCH = 4
 
 # The dtype of a training step's forward and backward passes. Parameter
@@ -172,30 +177,42 @@ def _stack(parts: list[Tensor], what: str) -> Tensor:
     shape = parts[0].shape
     if any(p.shape != shape for p in parts):
         raise DimensionError(
-            f"head_blocks: {what} encodings differ in shape: {[p.shape for p in parts]}")
+            f"stack_blocks: {what} encodings differ in shape: {[p.shape for p in parts]}")
     return ad.reshape(ad.concat_rows(*parts), (len(parts), *shape))
 
 
-def head_blocks(model: Model, encodings: Iterable[tuple[Tensor, Tensor]],
-                texts: Iterable[Tensor]) -> Iterator[tuple[Tensor, Tensor]]:
-    """Run Model.head once per HEAD_BATCH of the (fv, fe) pairs and yield
-    each block's (b, L) logits and (b, d) pooled features; the k-th block
-    reads the k-th (L, d) text tokens of texts. A block's pairs are drawn
-    only when it runs and dropped before the next block's are, so encoders
-    that train hold one block's tape at a time. All samples must have the
-    same token counts."""
-    pairs, texts = iter(encodings), iter(texts)
+Block = tuple[Tensor, Tensor]  # the (b, T, d) vision and event encodings of b samples
+
+
+def stack_blocks(encodings: Iterable[tuple[Tensor, Tensor]]) -> Iterator[Block]:
+    """The (T, d) (fv, fe) pairs of single samples, HEAD_BATCH to a block.
+    All samples must have the same token counts."""
+    pairs = iter(encodings)
     while chunk := list(itertools.islice(pairs, HEAD_BATCH)):
-        yield model.head(_stack([fv for fv, _ in chunk], "vision"),
-                         _stack([fe for _, fe in chunk], "event"), next(texts))
-        del chunk
+        yield _stack([fv for fv, _ in chunk], "vision"), _stack([fe for _, fe in chunk], "event")
 
 
-def head_rows(model: Model, encodings: Iterable[tuple[Tensor, Tensor]],
-              ft: Tensor) -> tuple[Tensor, Tensor]:
-    """The stacked (N, L) logits and (N, d) pooled features of head_blocks
-    over the (fv, fe) pairs, every block reading the text tokens ft."""
-    logits, pooled = zip(*head_blocks(model, encodings, itertools.repeat(ft)))
+def encode_blocks(model: Model, samples: Sequence[Sample]) -> Iterator[Block]:
+    """The encodings of the samples, HEAD_BATCH to a Model.encode_sample
+    call; each block is encoded only when it is drawn."""
+    for i in range(0, len(samples), HEAD_BATCH):
+        yield model.encode_sample(samples[i:i + HEAD_BATCH])
+
+
+def head_blocks(model: Model, blocks: Iterable[Block],
+                ft: Tensor) -> Iterator[tuple[Tensor, Tensor]]:
+    """Run Model.head once per (fv, fe) block, every block reading the (L, d)
+    text tokens ft, and yield each block's (b, L) logits and (b, d) pooled
+    features. A block is dropped before the next is drawn, so encoders that
+    train hold one block's tape at a time."""
+    for fv, fe in blocks:
+        yield model.head(fv, fe, ft)
+        del fv, fe
+
+
+def head_rows(model: Model, blocks: Iterable[Block], ft: Tensor) -> tuple[Tensor, Tensor]:
+    """The stacked (N, L) logits and (N, d) pooled features of head_blocks."""
+    logits, pooled = zip(*head_blocks(model, blocks, ft))
     return ad.concat_rows(*logits), ad.concat_rows(*pooled)
 
 
@@ -212,38 +229,34 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
     model.store.zero_grad()
     dtype = TRAIN_DTYPE
     if cache is not None:  # a cache of another dtype is cast to the step's
-        encodings = ((Tensor(cache[i][0].astype(dtype, copy=False)),
-                      Tensor(cache[i][1].astype(dtype, copy=False))) for i in idx)
+        blocks = stack_blocks((Tensor(cache[i][0].astype(dtype, copy=False)),
+                               Tensor(cache[i][1].astype(dtype, copy=False))) for i in idx)
     else:
-        encodings = (model.encode_sample(dataset[i]) for i in idx)
+        blocks = encode_blocks(model, [dataset[i] for i in idx])
     labels = np.array([dataset[i].label for i in idx])
-    n_blocks = -(-len(idx) // HEAD_BATCH)
     with model.store.cast(dtype):
-        # The text branch is built once per step. Every block but the last
-        # reads its tokens through a detached leaf that gathers their
-        # gradient; the last block reads the taped tokens and its loss
-        # carries sum(ft * that gradient), so one backward call passes the
-        # whole step's text gradient into the text branch.
+        # The text branch is built once per step. Every block reads its
+        # tokens through a detached leaf that gathers their gradient, and
+        # one seeded backward after the last block passes that gradient on
+        # into the text branch.
         ft = model.text_tokens()
         leaf = Tensor(ft.data, requires_grad=ft.requires_grad)
-        texts = itertools.chain(itertools.repeat(leaf, n_blocks - 1), [ft])
         # each sample's loss weighs 1/B of the batch mean
         scale = Tensor(np.array([[1.0 / len(idx)]], dtype=dtype))
         losses, hits = [], 0
         # A plain for: enumerate and zip would keep the last block's outputs,
         # and with them its tape, alive while the next block runs.
-        for logits, pooled in head_blocks(model, encodings, texts):
+        for logits, pooled in head_blocks(model, blocks, leaf):
             block_labels = labels[len(losses):len(losses) + logits.shape[0]]
             rows = cross_entropy(logits, block_labels)
             if not np.isfinite(rows.data).all():
                 raise NumericError(f"non-finite loss {rows.data.mean()}")
             losses += rows.data[:, 0].tolist()
             hits += int(np.sum(np.argmax(logits.data, axis=1) == block_labels))
-            loss = ad.mul(ad.sum_all(rows), scale)
-            if len(losses) == len(idx) and leaf.grad is not None:  # the last block
-                loss = ad.add(loss, ad.sum_all(ad.mul(ft, Tensor(leaf.grad.astype(dtype)))))
-            ad.backward(loss)
-            del logits, pooled, rows, loss  # the block's tape goes with them
+            ad.backward(ad.mul(ad.sum_all(rows), scale))
+            del logits, pooled, rows  # the block's tape goes with them
+        if leaf.grad is not None:
+            ad.backward(ft, leaf.grad.astype(dtype))
     for name, p in model.store.trainable_items():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(
@@ -340,10 +353,10 @@ def evaluate(dataset: list[Sample], model: Model,
     _check_labels(labels, n_classes, "evaluate: label")
     cached = memo.encode(model, dataset) if memo is not None else None
     if cached is not None:
-        encodings = ((Tensor(fv), Tensor(fe)) for fv, fe in cached)
+        blocks = stack_blocks((Tensor(fv), Tensor(fe)) for fv, fe in cached)
     else:
-        encodings = (model.encode_sample(s) for s in dataset)
-    logits = head_rows(model, encodings, model.text_tokens())[0].data
+        blocks = encode_blocks(model, dataset)
+    logits = head_rows(model, blocks, model.text_tokens())[0].data
     if not np.all(np.isfinite(logits)):
         raise NumericError("evaluate: non-finite logits")
     order = np.argsort(-logits, axis=1, kind="stable")  # ties: lower class first

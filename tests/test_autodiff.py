@@ -176,6 +176,56 @@ def test_backward_requires_scalar_loss():
         backward(ad.add(x, x))
 
 
+def test_seeded_backward_equals_the_scalar_backward_of_sum_root_times_seed():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(4, 3)), requires_grad=True), Tensor(rng.normal(size=(1, 3)))
+    seed = rng.normal(size=(2, 5, 3))
+
+    def grads(run):
+        for t in (x, w):
+            t.zero_grad()
+        run(ad.gelu(ad.linear(x, w, b)))
+        return [x.grad, w.grad]
+
+    seeded = grads(lambda root: backward(root, seed))
+    summed = grads(lambda root: backward(ad.sum_all(ad.mul(root, Tensor(seed)))))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seeded, summed))
+    # a leaf root takes the seed as its gradient, as a copy
+    x.zero_grad()
+    leaf_seed = rng.normal(size=x.shape)
+    backward(x, leaf_seed)
+    assert x.grad.tobytes() == leaf_seed.tobytes() and x.grad is not leaf_seed
+
+
+def test_seeded_backward_rejects_a_missing_or_misshapen_seed():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    root = ad.gelu(x)
+    with pytest.raises(ContractError, match=r"shape \(2, 3\) needs a seed"):
+        backward(root)
+    for bad in (np.ones((3, 2)), np.ones((1, 2, 3)), np.ones(6)):
+        with pytest.raises(ContractError, match="seed of shape"):
+            backward(root, bad)
+    with pytest.raises(ContractError, match="seed of shape"):
+        backward(ad.sum_all(root), np.ones((1, 2)))  # a scalar root too
+    assert x.grad is None
+
+
+def test_take_rows_with_a_2d_index_equals_1d_calls_with_gradients():
+    rng = np.random.default_rng(32)
+    table = rng.normal(size=(6, 4))
+    idx = np.array([[0, 5, 5], [2, 0, 3]])
+    g = rng.normal(size=(2, 3, 4))
+    out, grad = forward_and_grads(lambda t: ad.take_rows(t, idx), [table], g)
+    assert out.shape == (2, 3, 4)
+    rows = [forward_and_grads(lambda t: ad.take_rows(t, i), [table], gi)
+            for i, gi in zip(idx, g)]
+    assert_bit_equal([out], [np.stack([r[0] for r in rows])])
+    assert np.max(np.abs(grad - rows[0][1] - rows[1][1])) <= 1e-15
+    with pytest.raises(ContractError, match="out of range"):
+        ad.take_rows(Tensor(table), [[0, 6]])
+
+
 def test_backward_accumulates_without_reset():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     loss = ad.sum_all(x)

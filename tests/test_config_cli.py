@@ -12,14 +12,14 @@ from evfusion import autodiff as ad
 from evfusion import cli, data_files, events
 from evfusion.config import (ABLATION_PATTERNS, SWEEP_FRAME_COUNTS,
                              SWEEP_TEMPLATES, DataConfig, classes_from_labels,
-                             config_to_dict, load_config, make_datasets)
+                             config_to_dict, load_config, make_datasets, validate)
 from evfusion.encoders import EncoderConfig
 from evfusion.errors import ConfigError, ContractError, ParseError, ValidationError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import AblationSwitches, FusionConfig, Model
 from evfusion.params import ParamStore
 from evfusion.text import TextConfig
-from evfusion.trainer import OptimConfig, head_rows
+from evfusion.trainer import OptimConfig, encode_blocks, head_rows
 
 
 TINY = {
@@ -766,8 +766,7 @@ def test_cli_dump_embeddings(tmp_path):
     model.store.load(out / "model.ckpt")
     train_set, _ = make_datasets(cfg)
     with ad.no_grad():
-        encodings = [model.encode_sample(s) for s in train_set]
-        _, pooled = head_rows(model, encodings, model.text_tokens())
+        _, pooled = head_rows(model, encode_blocks(model, train_set), model.text_tokens())
     for row, sample, want in zip(rows[1:], train_set, pooled.data.tolist()):
         sample_id, label, *features = row.split(",")
         assert (sample_id, int(label)) == (sample.sample_id, sample.label)
@@ -827,11 +826,23 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def count_encoded_samples(monkeypatch) -> list:
+    """Record the ids of the samples Model.encode_sample encodes."""
+    ids, real = [], Model.encode_sample
+
+    def counting(self, samples):
+        ids.extend(s.sample_id for s in samples)
+        return real(self, samples)
+
+    monkeypatch.setattr(Model, "encode_sample", counting)
+    return ids
+
+
 @pytest.mark.parametrize("seeds", [1, 2])
 def test_cli_ablate_encodes_each_clip_once_per_frozen_encoder(tmp_path, monkeypatch, seeds):
     path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
     synths = count_calls(monkeypatch, cli, "make_datasets")
-    encodes = count_calls(monkeypatch, Model, "encode_sample")
+    encodes = count_encoded_samples(monkeypatch)
     assert run_cli(["ablate", "--config", str(path), "--seeds", str(seeds)]) == 0
     assert len(synths) == seeds
     n_train, n_eval, epochs = 4, 2, TINY["optim"]["epochs"]
@@ -843,7 +854,7 @@ def test_cli_ablate_encodes_each_clip_once_per_frozen_encoder(tmp_path, monkeypa
 def test_cli_sweep_prompts_synthesises_and_encodes_once(tmp_path, monkeypatch):
     path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))
     synths = count_calls(monkeypatch, cli, "make_datasets")
-    encodes = count_calls(monkeypatch, Model, "encode_sample")
+    encodes = count_encoded_samples(monkeypatch)
     assert run_cli(["sweep-prompts", "--config", str(path)]) == 0
     assert len(synths) == 1 and len(encodes) == 4 + 2
 
@@ -952,3 +963,13 @@ def test_cli_sweep_checks_every_value_before_the_first_row(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and match in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["rgb_encoder", "event_encoder", "text", "fusion"])
+def test_model_config_sections_cannot_be_changed_after_validation(section):
+    # validate checks a section once, when it is built; so nothing may edit it later
+    cfg = load_config(None, {})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        getattr(cfg, section).heads = 0
+    validate(cfg)
+    assert getattr(cfg, section).heads == 4

@@ -153,17 +153,17 @@ def test_encode_clip_lengths_and_independence():
     rng = np.random.default_rng(6)
     frames = [random_frame(rng, 16, 16) for _ in range(5)]
     clip = VideoClip(frames, np.arange(5) * 1000)
-    seqs = encode_clip(clip, cfg, store, "enc")
+    seqs = encode_clip([clip], cfg, store, "enc")
     assert len(seqs.data) == 5
     assert all(seqs.data[j].shape == (5, 8) for j in range(5))
 
-    single = encode_clip(VideoClip(frames[:1], [0]), cfg, store, "enc")
+    single = encode_clip([VideoClip(frames[:1], [0])], cfg, store, "enc")
     assert len(single.data) == 1
 
     # permuting frame order permutes outputs identically
     perm = [3, 0, 4, 1, 2]
-    permuted = encode_clip(VideoClip([frames[i] for i in perm],
-                                     np.arange(5) * 1000), cfg, store, "enc")
+    permuted = encode_clip([VideoClip([frames[i] for i in perm], np.arange(5) * 1000)],
+                           cfg, store, "enc")
     for j, i in enumerate(perm):
         assert np.array_equal(permuted.data[j], seqs.data[i])
 
@@ -182,8 +182,8 @@ def test_encode_clip_batch_equals_one_frame_calls(events):
         clips = [VideoClip(frames, np.arange(3))]
         one = [VideoClip([f], [0]) for f in frames]
     with ad.no_grad():
-        batch = encode_clip(clips[0], cfg, store, "enc")
-        alone = [encode_clip(c, cfg, store, "enc") for c in one]
+        batch = encode_clip(clips, cfg, store, "enc")
+        alone = [encode_clip([c], cfg, store, "enc") for c in one]
     assert batch.shape == (len(one), cfg.n_tokens, cfg.dim)
     for j, a in enumerate(alone):
         assert np.array_equal(batch.data[j], a.data[0])
@@ -193,7 +193,7 @@ def test_encode_clip_empty_rejected():
     cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2)
     store = make_encoder(cfg)
     with pytest.raises(ContractError):
-        encode_clip(EventFrameSequence([]), cfg, store, "enc")
+        encode_clip([EventFrameSequence([])], cfg, store, "enc")
 
 
 def test_event_frame_to_rgb_channels():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -240,10 +242,61 @@ def test_gradients_flow_to_all_trainable_fusion_params():
 def test_frozen_encoders_record_no_tape_outside_no_grad():
     model = Model(tiny_model_config(), seed=6)
     sample = tiny_sample()
-    for t in model.encode_sample(sample):
+    for t in model.encode_sample([sample]):
         assert not t.requires_grad and t._parents == ()
     model.store.zero_grad()
     backward(ad.sum_all(model.forward(sample)))
     encoder_params = [n for n in model.store.names() if n.startswith(("rgb.", "event."))]
     assert encoder_params and all(model.store[n].grad is None for n in encoder_params)
     assert model.store["fusion.clf.w"].grad is not None
+
+
+# -- one encoder forward per block of samples ---------------------------------
+
+def tiny_samples(n_frames, n=4, seed=0):
+    classes = [MotionClass(lb, lb.split()[0], lb.split()[-1]) for lb in LABELS]
+    spec = SynthSpec(classes=classes, samples_per_class=1, resolution=(16, 16),
+                     n_frames=n_frames)
+    return synth_dataset(spec, seed=seed)[:n]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_block_encodes_each_sample_bit_for_bit_as_alone(dtype):
+    model = Model(tiny_model_config(), seed=2)
+    samples = tiny_samples(n_frames=3)
+    with ad.no_grad(), model.store.cast(dtype):
+        fv, fe = model.encode_sample(samples)
+        alone = [model.encode_sample([s]) for s in samples]
+    tokens = 3 * model.cfg.rgb.n_tokens
+    assert fv.shape == fe.shape == (len(samples), tokens, DIM)
+    assert fv.data.dtype == fe.data.dtype == dtype
+    for i, (v, e) in enumerate(alone):
+        assert v.shape == e.shape == (1, tokens, DIM)
+        assert fv.data[i].tobytes() == v.data[0].tobytes()
+        assert fe.data[i].tobytes() == e.data[0].tobytes()
+
+
+def test_a_block_of_trainable_encoders_backpropagates_into_each_sample():
+    # lvm off: the block is on the tape, and every sample reaches the encoders
+    model = Model(dataclasses.replace(
+        tiny_model_config(), rgb=EncoderConfig(image_size=16, patch_size=8, dim=DIM,
+                                               heads=2, depth=1, frozen=False)), seed=2)
+    samples = tiny_samples(n_frames=2, n=3)
+    fv, fe = model.encode_sample(samples)
+    assert fv.requires_grad and not fe.requires_grad
+    weights = np.random.default_rng(1).normal(size=fv.shape)
+    backward(fv, weights)
+    batched = model.store["rgb.patch.w"].grad
+    model.store.zero_grad()
+    for s, w in zip(samples, weights):
+        backward(model.encode_sample([s])[0], w[None])
+    assert np.max(np.abs(batched - model.store["rgb.patch.w"].grad)) <= 1e-12
+
+
+def test_a_block_of_samples_with_different_frame_counts_is_rejected():
+    # a bare reshape would mix frames across samples: 2 + 4 frames reshape
+    # to (2, 3 * tokens, dim) without complaint
+    model = Model(tiny_model_config(), seed=2)
+    mixed = tiny_samples(n_frames=2, n=1) + tiny_samples(n_frames=4, n=1)
+    with pytest.raises(DimensionError, match=r"samples of \[2, 4\] frames"):
+        model.encode_sample(mixed)

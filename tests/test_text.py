@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from evfusion import autodiff as ad
+from evfusion import blocks
 from evfusion.errors import ContractError
 from evfusion.params import ParamStore
 from evfusion.text import (NONE_TEMPLATE, PAD, UNK, PromptTemplate, TextConfig,
-                           Vocabulary, encode_labels, encode_one_label,
-                           init_text_params, render_prompt, tokenize)
+                           Vocabulary, encode_labels, init_text_params, render_prompt,
+                           tokenize)
 
 LABELS = ["square moving right", "square moving left",
           "disc moving up", "disc moving down"]
@@ -88,14 +90,59 @@ def test_encode_labels_row_independence():
 
 
 def test_encode_one_label_invariant_to_max_len_padding():
-    # growing max_len only adds PAD positions, which must not leak
+    # growing max_len only adds PAD positions, which must not leak into any row
     tpl = PromptTemplate("The action is {}")
     cfg, vocab, store = make_branch(tpl, TextConfig(dim=16, depth=1, heads=2,
                                                     max_len=16))
     short = TextConfig(dim=16, depth=1, heads=2, max_len=8)
-    a = encode_one_label(LABELS[0], tpl, short, vocab, store, "text")
-    b = encode_one_label(LABELS[0], tpl, cfg, vocab, store, "text")
+    a = encode_labels(LABELS, tpl, short, vocab, store, "text")
+    b = encode_labels(LABELS, tpl, cfg, vocab, store, "text")
     assert np.array_equal(a.data, b.data)
+
+
+def one_label(label, tpl, cfg, vocab, store):
+    """Reference: the (1, dim) token of one label run through the text
+    branch on its own, a 2-D (n, dim) forward of its real tokens."""
+    real = [i for i in tokenize(render_prompt(tpl, label), vocab, cfg.max_len) if i != PAD]
+    x = ad.add(ad.take_rows(store["text.embed"], real),
+               ad.slice_rows(store["text.pos"], 0, len(real)))
+    for i in range(cfg.depth):
+        x = blocks.transformer_block(store, f"text.block{i}", x, cfg.heads)
+    return blocks.linear(store, "text.proj", ad.mean_rows(x))
+
+
+@pytest.mark.parametrize("labels", [["up", "moving left"],
+                                    ["moving left", "up", "disc moving down", "down"]],
+                         ids=["two-counts", "three-counts-reordered"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_encode_labels_with_several_token_counts_equals_one_label_at_a_time(labels, dtype):
+    tpl = PromptTemplate(NONE_TEMPLATE)
+    cfg, vocab, store = make_branch(tpl, TextConfig(dim=16, depth=2, heads=2, max_len=6),
+                                    labels=labels)
+    with store.cast(dtype):
+        tokens = encode_labels(labels, tpl, cfg, vocab, store, "text")
+        rows = [one_label(lb, tpl, cfg, vocab, store) for lb in labels]
+    assert tokens.shape == (len(labels), cfg.dim) and tokens.data.dtype == dtype
+    assert tokens.data.tobytes() == np.concatenate([r.data for r in rows]).tobytes()
+
+
+def test_encode_labels_gradients_match_one_label_at_a_time():
+    # one forward per token-count group only regroups the weight-gradient sums
+    labels = ["moving left", "up", "disc moving down", "down"]
+    tpl = PromptTemplate(NONE_TEMPLATE)
+    cfg, vocab, store = make_branch(tpl, labels=labels)
+    seed = np.random.default_rng(4).normal(size=(len(labels), cfg.dim))
+    grads = []
+    for encode in (lambda: encode_labels(labels, tpl, cfg, vocab, store, "text"),
+                   lambda: ad.concat_rows(*[one_label(lb, tpl, cfg, vocab, store)
+                                            for lb in labels])):
+        store.zero_grad()
+        ad.backward(encode(), seed)
+        grads.append({n: t.grad for n, t in store.items()})
+    batched, reference = grads
+    assert batched.keys() == reference.keys()
+    for name in batched:
+        assert np.max(np.abs(batched[name] - reference[name])) <= 1e-12, name
 
 
 def test_encode_labels_contract_errors():

@@ -17,7 +17,8 @@ from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import FusionConfig, Model, ModelConfig
 from evfusion.text import PromptTemplate, TextConfig
 from evfusion.trainer import (EncodingMemo, OptimConfig, TrainState, adamw_step,
-                              cosine_lr, cross_entropy, evaluate, head_rows, train)
+                              cosine_lr, cross_entropy, encode_blocks, evaluate, head_rows,
+                              stack_blocks, train)
 
 LABELS = ["square moving right", "square moving left",
           "disc moving up", "disc moving down"]
@@ -336,7 +337,7 @@ def per_sample_step(model, dataset, idx, cache, state, lr, cfg):
         if cache is not None:
             fv, fe = Tensor(cache[i][0]), Tensor(cache[i][1])
         else:
-            fv, fe = model.encode_sample(sample)
+            fv, fe = model.encode_sample([sample])
         logits, _ = model.head(fv, fe, ft)
         losses.append(cross_entropy(logits, sample.label))
         hits += int(np.argmax(logits.data)) == sample.label
@@ -426,9 +427,10 @@ def test_train_frees_previous_step_tape_before_next_forward(monkeypatch):
     loss_refs, dead = [], []
     real_backward, real_head = ad.backward, model.head
 
-    def recording_backward(loss):
-        loss_refs.append(weakref.ref(loss.data))
-        return real_backward(loss)
+    def recording_backward(root, grad=None):
+        if grad is None:  # a block's loss, not the text branch's seeded backward
+            loss_refs.append(weakref.ref(root.data))
+        return real_backward(root, grad)
 
     def checking_head(*args, **kwargs):
         if len(dead) < len(loss_refs):  # first head call of a later step
@@ -445,12 +447,12 @@ def test_train_frees_previous_step_tape_before_next_forward(monkeypatch):
 # -- frozen-encoder memo ------------------------------------------------------------
 
 def count_encodes(monkeypatch) -> list:
-    """Record the sample ids Model.encode_sample is called on."""
+    """Record the ids of the samples Model.encode_sample encodes."""
     calls, real = [], Model.encode_sample
 
-    def counting(self, sample):
-        calls.append(sample.sample_id)
-        return real(self, sample)
+    def counting(self, samples):
+        calls.extend(s.sample_id for s in samples)
+        return real(self, samples)
 
     monkeypatch.setattr(Model, "encode_sample", counting)
     return calls
@@ -500,6 +502,30 @@ def test_memo_keys_on_the_encoder_config_not_only_its_parameters(monkeypatch):
     assert len(calls) == len(data)
     assert result == evaluate(data, other)
     assert result != evaluate(data, model)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 9])
+def test_memo_encodes_its_misses_four_to_a_call(monkeypatch, n):
+    data = tiny_dataset(samples_per_class=3)[:n]
+    model, memo = tiny_model(seed=2), EncodingMemo()
+    calls = []
+    real = Model.encode_sample
+    monkeypatch.setattr(Model, "encode_sample",
+                        lambda self, s: calls.append(len(s)) or real(self, s))
+    half = memo.encode(model, data[:n // 2])
+    assert len(calls) == math.ceil((n // 2) / trainer.HEAD_BATCH)
+    calls.clear()
+    full = memo.encode(model, data + data[:1])  # a repeated sample is encoded once
+    misses = n - n // 2
+    assert calls == [trainer.HEAD_BATCH] * (misses // 4) + [misses % 4] * (misses % 4 > 0)
+    assert len(memo) == n and len(full) == n + 1 and full[-1] is full[0]
+    assert all(a is b for pair, ref in zip(full, half) for a, b in zip(pair, ref))
+    monkeypatch.setattr(Model, "encode_sample", real)
+    with ad.no_grad():
+        for (fv, fe), s in zip(full, data):
+            one = model.encode_sample([s])
+            assert fv.tobytes() == one[0].data[0].tobytes()
+            assert fe.tobytes() == one[1].data[0].tobytes()
 
 
 def test_memo_holds_nothing_for_trainable_encoders():
@@ -609,10 +635,10 @@ def test_train_stops_on_a_non_finite_gradient_naming_its_group(monkeypatch, grou
     name = next(n for n, _ in model.store.trainable_items() if n.startswith(group + "."))
     real, calls = ad.backward, []
 
-    def poisoned(loss):  # the second step's backward leaves one inf in name's gradient
-        grads = real(loss)
-        calls.append(loss)
-        if len(calls) == 2:
+    def poisoned(root, grad=None):  # the second step leaves one inf in name's gradient
+        grads = real(root, grad)
+        calls.append(root)
+        if len(calls) == 2 * 2:  # a block's and the text branch's backward per step
             model.store[name].grad.reshape(-1)[0] = np.inf
         return grads
 
@@ -650,7 +676,7 @@ SWITCH_COMBOS = [dict(zip(("sci", "mt", "sa", "ca"), c))
 
 def frozen_encodings(model, data):
     with ad.no_grad():
-        return [tuple(t.data for t in model.encode_sample(s)) for s in data]
+        return [tuple(t.data[0] for t in model.encode_sample([s])) for s in data]
 
 
 @pytest.mark.parametrize("combo", SWITCH_COMBOS,
@@ -659,7 +685,7 @@ def test_head_rows_bit_equals_per_sample_heads(combo):
     model = tiny_model(seed=1, **combo)
     enc = frozen_encodings(model, tiny_dataset()[:6])  # sub-batches of 4 and 2
     ft = model.text_tokens()
-    logits, pooled = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc), ft)
+    logits, pooled = head_rows(model, stack_blocks((Tensor(a), Tensor(b)) for a, b in enc), ft)
     rows = [model.head(Tensor(a), Tensor(b), ft) for a, b in enc]
     assert logits.shape == (6, len(LABELS)) and pooled.shape == (6, DIM)
     assert logits.data.tobytes() == np.concatenate([r[0].data for r in rows]).tobytes()
@@ -678,7 +704,7 @@ def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
         return real(self, fv, fe, ft)
 
     monkeypatch.setattr(Model, "head", counted)
-    logits, _ = head_rows(model, ((Tensor(a), Tensor(b)) for a, b in enc),
+    logits, _ = head_rows(model, stack_blocks((Tensor(a), Tensor(b)) for a, b in enc),
                           model.text_tokens())
     assert logits.shape[0] == n
     assert len(calls) == math.ceil(n / trainer.HEAD_BATCH)
@@ -690,7 +716,7 @@ def test_head_rows_rejects_encodings_of_different_token_counts():
     (fv, fe), = frozen_encodings(model, tiny_dataset()[:1])
     short = (Tensor(fv[1:]), Tensor(fe))
     with pytest.raises(DimensionError, match="vision encodings differ"):
-        head_rows(model, [(Tensor(fv), Tensor(fe)), short], model.text_tokens())
+        head_rows(model, stack_blocks([(Tensor(fv), Tensor(fe)), short]), model.text_tokens())
 
 
 def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
@@ -700,7 +726,7 @@ def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
     enc = frozen_encodings(model, tiny_dataset()[:5])
     weights = np.random.default_rng(0).normal(size=(5, len(LABELS)))
     pairs = [(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)) for a, b in enc]
-    logits, _ = head_rows(model, pairs, model.text_tokens())
+    logits, _ = head_rows(model, stack_blocks(pairs), model.text_tokens())
     backward(ad.sum_all(ad.mul(logits, Tensor(weights))))
     for (fv, fe), w in zip(pairs, weights):
         one = [Tensor(fv.data, requires_grad=True), Tensor(fe.data, requires_grad=True)]
@@ -733,10 +759,10 @@ def one_tape_step(model, dataset, idx, cache, state, lr, cfg):
     single backward from the batch-mean loss."""
     model.store.zero_grad()
     if cache is not None:
-        encodings = ((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
+        blocks = stack_blocks((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
     else:
-        encodings = (model.encode_sample(dataset[i]) for i in idx)
-    logits, _ = head_rows(model, encodings, model.text_tokens())
+        blocks = encode_blocks(model, [dataset[i] for i in idx])
+    logits, _ = head_rows(model, blocks, model.text_tokens())
     labels = np.array([dataset[i].label for i in idx])
     losses = cross_entropy(logits, labels)
     backward(ad.mean_rows(losses))
@@ -797,15 +823,16 @@ def test_each_block_runs_its_forward_and_backward_before_the_next(monkeypatch):
     events = []
     real_encode, real_head, real_backward = model.encode_sample, model.head, ad.backward
     monkeypatch.setattr(model, "encode_sample",
-                        lambda s: events.append("encode") or real_encode(s))
+                        lambda s: events.append(("encode", len(s))) or real_encode(s))
     monkeypatch.setattr(model, "head", lambda *a: events.append("head") or real_head(*a))
-    monkeypatch.setattr(ad, "backward", lambda loss: events.append("backward")
-                        or real_backward(loss))
+    monkeypatch.setattr(ad, "backward", lambda *a: events.append("backward")
+                        or real_backward(*a))
     monkeypatch.setattr(trainer, "adamw_step", lambda *a: events.append("adamw"))
     trainer._train_step(model, tiny_dataset(), np.arange(6), cache, TrainState(),
                         1e-3, OptimConfig())
-    assert events == ["encode"] * 4 + ["head", "backward"] + ["encode"] * 2 + [
-        "head", "backward", "adamw"]
+    # one encode per block; after the last block, the text branch's backward
+    assert events == [("encode", 4), "head", "backward", ("encode", 2),
+                      "head", "backward", "backward", "adamw"]
 
 
 def desk_step_peak_mb(n_samples):
