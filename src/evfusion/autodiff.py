@@ -19,8 +19,16 @@ Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
 arrays it allocated itself. It never writes into its inputs, the upstream
 gradient, the arrays its backward keeps, or the weights it hands to
 ``attention_weights()``. Each in-place form performs the same floating-point
-operations, in the same order, as the plain expression, so results are
-bit-identical to it.
+operations, in the same order, as the plain expression it stands for, so
+results are bit-identical to that expression. Those expressions take row and
+column sums and means as BLAS products with a ones or ``1/n`` column
+(``a @ ones((n, 1))``, ``ones((1, m)) @ a``), not as numpy reductions;
+attention scales ``q`` by ``1/sqrt(w)`` before ``q k^T`` and applies that
+scale to dQ and dK, and its backward takes rowsum(dP∘P) as the equal
+rowsum(G∘O) of the upstream gradient and the output. A BLAS product gives each
+matrix of a stack the same result whatever the stack's length, so a batch
+still equals its per-matrix calls bit for bit. These columns are allocated
+per call; one cached across calls would have to be read-only.
 """
 
 from __future__ import annotations
@@ -147,6 +155,12 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True).reshape(shape)
 
 
+def _col(n: int, dtype, value: float = 1.0) -> np.ndarray:
+    """An (n, 1) column of value: a @ _col(n, dtype) sums a's rows and
+    _col(m, dtype).T @ a its columns, as one BLAS product each."""
+    return np.full((n, 1), value, dtype=dtype)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may broadcast over a's leading axes and rows, so a
     (1, n) row or a (T, n) table adds to every (T, n) matrix of a."""
@@ -205,7 +219,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gw = x.data.reshape(-1, x.shape[-1]).T @ g2
             if _INJECT_BACKWARD_FAULT:
                 gw *= 1.5
-        return gx, gw, g2.sum(axis=0, keepdims=True)
+        return gx, gw, _col(g2.shape[0], g2.dtype).T @ g2
 
     return _make(data, (x, w, b), backward)
 
@@ -270,25 +284,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain/bias width must be {n}, got {gain.data.size}/{bias.data.size}")
     g_row = gain.data.reshape(1, n)
     b_row = bias.data.reshape(1, n)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    mean = _col(n, x.data.dtype, 1.0 / n)
+    xhat = x.data - x.data @ mean
+    data = xhat * xhat
+    inv = 1.0 / np.sqrt(data @ mean + eps)
     xhat *= inv
-    data = xhat * g_row
+    np.multiply(xhat, g_row, out=data)
     data += b_row
 
     def backward(g):
         # dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat)), built in gy
+        mean = _col(n, g.dtype, 1.0 / n)
         gy = g * g_row
-        mean_gy = gy.mean(axis=-1, keepdims=True)
         tmp = gy * xhat
-        mean_gy_xhat = tmp.mean(axis=-1, keepdims=True)
-        gy -= mean_gy
+        mean_gy_xhat = tmp @ mean
+        gy -= gy @ mean
         gy -= np.multiply(xhat, mean_gy_xhat, out=tmp)
         gy *= inv
-        dgain = np.multiply(g, xhat, out=tmp).reshape(-1, n).sum(axis=0, keepdims=True)
-        dbias = g.reshape(-1, n).sum(axis=0, keepdims=True).reshape(bias.shape)
-        return gy, dgain.reshape(gain.shape), dbias
+        ones = _col(g.size // n, g.dtype).T
+        dgain = ones @ np.multiply(g, xhat, out=tmp).reshape(-1, n)
+        dbias = ones @ g.reshape(-1, n)
+        return gy, dgain.reshape(gain.shape), dbias.reshape(bias.shape)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -429,28 +445,31 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
 
     c = 1.0 / math.sqrt(d // heads)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ kh.swapaxes(-1, -2)  # the logits, turned into softmax weights in place
-    p *= c
+    # the logits of c q k^T, turned into softmax weights in place
+    p = split(q.data * c) @ kh.swapaxes(-1, -2)
     if not np.all(np.isfinite(p)):
         raise NumericError("attention: non-finite logits")
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= p @ _col(tk, p.dtype)
     if _ATTENTION_WEIGHTS is not None:
         _ATTENTION_WEIGHTS.extend(Tensor(w) for w in p.reshape(-1, *p.shape[-2:]))
+    out = into(lead + (q.shape[-2], dv), p, vh)
 
     def backward(g):
-        # ds = p * (dp - rowsum(dp * p)) * c, built in place in dp = g v^T
+        # ds = p * (dp - rowsum(dp * p)), built in place in dp = g v^T; the
+        # row sums equal rowsum(g * out) per head, and c is applied to dq, dk
         gh = split(g)
         ds = gh @ vh.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds -= split(g * out) @ _col(dv // heads, g.dtype)
         ds *= p
-        ds *= c
-        return (_sum_to(into(lead + q.shape[-2:], ds, kh), q.shape),
-                into(k.shape, ds.swapaxes(-1, -2), qh),
-                into(v.shape, p.swapaxes(-1, -2), gh))
+        dq = into(lead + q.shape[-2:], ds, kh)
+        dq *= c
+        dk = into(k.shape, ds.swapaxes(-1, -2), qh)
+        dk *= c
+        return _sum_to(dq, q.shape), dk, into(v.shape, p.swapaxes(-1, -2), gh)
 
-    return _make(into(lead + (q.shape[-2], dv), p, vh), (q, k, v), backward)
+    return _make(out, (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

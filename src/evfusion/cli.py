@@ -76,6 +76,14 @@ def _checkpoint_path(args, cfg: RunConfig) -> Path:
     return Path(args.checkpoint) if args.checkpoint else _out_dir(cfg) / "model.ckpt"
 
 
+def _model_section(cfg: RunConfig) -> dict:
+    """The settings a checkpoint's values were trained under: train writes
+    them into its sidecar, and eval and dump-embeddings load it only under
+    equal ones."""
+    return {"switches": dict(vars(cfg.switches)), "labels": cfg.labels,
+            "template": cfg.template}
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -124,7 +132,7 @@ def cmd_train(args) -> int:
     with (out / "metrics.jsonl").open("w") as fh:
         for record in log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    model.store.save(_checkpoint_path(args, cfg))
+    model.store.save(_checkpoint_path(args, cfg), model=_model_section(cfg))
     _write_json(out / "config.json", config_to_dict(cfg))
     _write_json(out / "final_metrics.json",
                 {k: metrics[k] for k in ("top1", "top5", "per_class_accuracy")})
@@ -136,7 +144,7 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
-    model.store.load(_checkpoint_path(args, cfg))
+    model.store.load(_checkpoint_path(args, cfg), model=_model_section(cfg))
     metrics = evaluate(_split_samples(cfg, "eval"), model)
     _write_json(out / "eval_metrics.json",
                 {k: metrics[k] for k in
@@ -252,7 +260,7 @@ def cmd_dump_embeddings(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
-    model.store.load(_checkpoint_path(args, cfg))
+    model.store.load(_checkpoint_path(args, cfg), model=_model_section(cfg))
     dataset = _split_samples(cfg, args.split)
     _, pooled = head_rows(model, encode_blocks(model, dataset), model.text_tokens())
     path = out / f"embeddings_{args.split}.csv"

@@ -5,7 +5,9 @@ JSON sidecar manifest mapping each parameter name to its shape and
 element offset into the flat file. Save/load is bit-exact; loading takes
 only a sidecar whose dtype is "<f8" and whose counts, shapes and offsets
 are JSON integers. A checkpoint holds values only: which parameters are
-frozen is set by the config.
+frozen is set by the config. The sidecar may also carry a ``model`` section,
+the settings the values were trained under, which a load can be asked to
+match.
 """
 
 from __future__ import annotations
@@ -32,6 +34,21 @@ def digest(arrays: Iterable[np.ndarray], *context) -> bytes:
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(np.ascontiguousarray(a))
     return h.digest()
+
+
+def _first_difference(recorded, wanted: dict, prefix: str = ""):
+    """(dotted name, recorded value, wanted value) of the first field of
+    wanted, nested dicts field by field, that recorded lacks or holds with
+    another value; None when every field matches."""
+    for key, want in wanted.items():
+        have = recorded.get(key) if isinstance(recorded, dict) else None
+        if isinstance(want, dict):
+            found = _first_difference(have, want, f"{prefix}{key}.")
+            if found:
+                return found
+        elif have != want:
+            return f"{prefix}{key}", have, want
+    return None
 
 
 class ParamStore:
@@ -93,7 +110,9 @@ class ParamStore:
 
     # -- checkpointing --------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path, model: dict | None = None) -> None:
+        """Write the values, and model as the sidecar's ``model`` section
+        when given."""
         path = Path(path)
         manifest = {}
         offset = 0
@@ -109,12 +128,16 @@ class ParamStore:
             "n_values": offset,
             "params": manifest,
         }
+        if model is not None:
+            sidecar["model"] = model
         path.with_suffix(path.suffix + ".json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
-    def load(self, path: str | Path) -> None:
+    def load(self, path: str | Path, model: dict | None = None) -> None:
         """Overwrite every parameter from a checkpoint that holds exactly this
-        store's names and shapes; on any mismatch raise and change nothing."""
+        store's names and shapes; on any mismatch raise and change nothing.
+        Given model, a sidecar ``model`` section must hold each of its fields
+        with an equal value; a sidecar without the section is not checked."""
         path = Path(path)
         raw = path.read_bytes()
         try:
@@ -122,6 +145,7 @@ class ParamStore:
             dtype, n_values = sidecar["dtype"], sidecar["n_values"]
             metas = {name: (meta["shape"], meta["offset"])
                      for name, meta in sidecar["params"].items()}
+            recorded = sidecar.get("model")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"checkpoint {path}: malformed sidecar: {exc!r}") from exc
         if dtype != "<f8":
@@ -134,6 +158,12 @@ class ParamStore:
         metas = {name: (tuple(shape), offset) for name, (shape, offset) in metas.items()}
         if len(raw) != 8 * n_values:
             raise ParseError(f"checkpoint {path}: holds {len(raw) / 8:g} values, not {n_values}")
+        if model is not None and recorded is not None:
+            differs = _first_difference(recorded, model)
+            if differs:
+                name, have, want = differs
+                raise ValidationError(f"checkpoint {path} was trained with a different {name}: "
+                                      f"{have!r} in the checkpoint, {want!r} in the config")
         missing = sorted(self._params.keys() - metas.keys())
         extra = sorted(metas.keys() - self._params.keys())
         reshaped = sorted(n for n in self._params.keys() & metas.keys()

@@ -574,12 +574,16 @@ def test_linear_fault_hook_corrupts_the_weight_gradient():
 
 # -- allocation-lean kernels against the expression-tree formulas ------------
 # The primitives build their results in buffers they allocate themselves; the
-# references below are the plain numpy expressions they replaced, and every
-# output and input gradient must equal them bit for bit.
+# references below are the plain numpy expressions they stand for, with row and
+# column sums as products with a ones or 1/n column, and every output and input
+# gradient must equal them bit for bit. The oracle tests further down check
+# the same primitives against the textbook formulas within a tolerance.
 
 def reference_attention(q, k, v, heads, g):
     """Multi-head attention and its backward as one numpy expression per
-    step: (output, dq, dk, dv)."""
+    step: (output, dq, dk, dv). The scale multiplies q before q k^T and the
+    small dq and dk after their products; rowsum(dp * p) is taken as the
+    equal rowsum(g * out) of each head."""
     def split(x):
         return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2)
 
@@ -588,27 +592,27 @@ def reference_attention(q, k, v, heads, g):
 
     c = 1.0 / math.sqrt(q.shape[-1] // heads)
     qh, kh, vh, gh = split(q), split(k), split(v), split(g)
-    logits = (qh @ kh.swapaxes(-1, -2)) * c
+    logits = split(q * c) @ kh.swapaxes(-1, -2)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / (e @ np.ones((k.shape[-2], 1)))
+    out = merge(p @ vh)
     dp = gh @ vh.swapaxes(-1, -2)
-    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-    return (merge(p @ vh), merge(ds @ kh), merge(ds.swapaxes(-1, -2) @ qh),
+    ds = p * (dp - split(g * out) @ np.ones((v.shape[-1] // heads, 1)))
+    return (out, merge(ds @ kh) * c, merge(ds.swapaxes(-1, -2) @ qh) * c,
             merge(p.swapaxes(-1, -2) @ gh))
 
 
 def reference_layer_norm(x, gain, bias, g, eps=1e-5):
     n = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    mean, ones = np.full((n, 1), 1.0 / n), np.ones((1, g.size // n))
+    xc = x - x @ mean
+    inv = 1.0 / np.sqrt((xc * xc) @ mean + eps)
+    xhat = xc * inv
     gy = g * gain
-    mean_gy = gy.mean(axis=-1, keepdims=True)
-    mean_gy_xhat = (gy * xhat).mean(axis=-1, keepdims=True)
+    mean_gy = gy @ mean
+    mean_gy_xhat = (gy * xhat) @ mean
     return (xhat * gain + bias, inv * (gy - mean_gy - xhat * mean_gy_xhat),
-            (g * xhat).reshape(-1, n).sum(axis=0, keepdims=True),
-            g.reshape(-1, n).sum(axis=0, keepdims=True))
+            ones @ (g * xhat).reshape(-1, n), ones @ g.reshape(-1, n))
 
 
 def reference_gelu(x, g):
@@ -622,7 +626,7 @@ def reference_gelu(x, g):
 def reference_linear(x, w, b, g):
     g2 = g.reshape(-1, g.shape[-1])
     return (x @ w + b, g @ w.T, x.reshape(-1, x.shape[-1]).T @ g2,
-            g2.sum(axis=0, keepdims=True))
+            np.ones((1, g2.shape[0])) @ g2)
 
 
 def forward_and_grads(op, arrays, g):
@@ -745,3 +749,141 @@ def test_attention_broadcast_query_equals_per_matrix_calls_with_gradients():
         assert_bit_equal([w.data for w in sink[2 * f:2 * f + 2]], [w.data for w in one_sink])
         gq_sum += one[1]  # the batch axis is summed in order
     assert_bit_equal([gq], [gq_sum])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_batched_primitives_equal_per_matrix_calls_with_gradients(dtype):
+    """A batch of three equals per-matrix calls in outputs, attention weights
+    and input gradients bit for bit, and a batch of one equals the 2-D call
+    in every gradient, the gain, bias and weight gradients included: the
+    ones-vector products of layer norm, attention and linear do not change
+    with the batch size. The batch's parameter gradients sum the per-matrix
+    ones up to rounding."""
+    rng = np.random.default_rng(12)
+    x, g = rng.normal(size=(3, 5, 8)).astype(dtype), rng.normal(size=(3, 6, 8)).astype(dtype)
+    params = [rng.normal(size=shape).astype(dtype)
+              for shape in ((8, 8), (1, 8), (6, 8), (1, 8), (1, 8), (1, 8))]
+
+    def run(xs, gs):
+        """Output, attention weights, input gradient and parameter gradients."""
+        t = Tensor(xs, requires_grad=True)
+        w, b, table, cls, gain, bias = ps = [Tensor(p, requires_grad=True) for p in params]
+        with ad.attention_weights() as sink:
+            y = ad.add(ad.concat_rows(cls, ad.linear(t, w, b)), table)
+            out = ad.scaled_dot_attention(ad.layer_norm(y, gain, bias), y, y, heads=2)
+        backward(out, gs)
+        assert out.data.dtype == dtype
+        return out.data, [a.data for a in sink], t.grad, [p.grad for p in ps]
+
+    batch = run(x, g)
+    per_matrix = [run(x[f], g[f]) for f in range(3)]
+    for f, (out, weights, gx, grads) in enumerate(per_matrix):
+        assert_bit_equal([batch[0][f], batch[2][f]], [out, gx])
+        assert_bit_equal(batch[1][2 * f:2 * f + 2], weights)
+        one_out, one_weights, one_gx, one_grads = run(x[f:f + 1], g[f:f + 1])
+        assert_bit_equal([one_out[0], one_gx[0]] + one_weights + one_grads,
+                         [out, gx] + weights + grads)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, parts in zip(batch[3], zip(*(one[3] for one in per_matrix))):
+        want = sum(parts)
+        assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["+inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["q", "k"])
+def test_attention_raises_on_non_finite_logits(where, bad):
+    # the scale multiplies q before q k^T: a bad entry of either operand must
+    # still reach the check on the logits
+    rng = np.random.default_rng(23)
+    arrays = {"q": rng.normal(size=(3, 8)), "k": rng.normal(size=(5, 8)),
+              "v": rng.normal(size=(5, 8))}
+    arrays[where][1, 2] = bad
+    with pytest.raises(NumericError, match="non-finite logits"):
+        ad.scaled_dot_attention(*(Tensor(arrays[n]) for n in "qkv"), heads=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_attention_raises_when_finite_q_and_k_overflow_the_logits():
+    q, k = np.ones((2, 4)), np.ones((3, 4))
+    q[1, 0], k[2, 0] = 1e200, -1e200
+    with pytest.raises(NumericError, match="non-finite logits"):
+        ad.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(k))
+
+
+# -- the primitives against textbook formulas and numpy's reductions -----------
+
+def textbook_attention(q, k, v, heads, g):
+    """softmax(q k^T c) v head by head and its gradients from
+    dS = P∘(dP − rowsum(dP∘P))·c with numpy's .sum and .max; q may have
+    fewer leading axes than k and v, and its gradient is summed over the
+    others: (output, dq, dk, dv)."""
+    hd, hv = q.shape[-1] // heads, v.shape[-1] // heads
+    c = 1.0 / math.sqrt(hd)
+    parts = []
+    for h in range(heads):
+        qh, kh = q[..., h * hd:(h + 1) * hd], k[..., h * hd:(h + 1) * hd]
+        vh, gh = v[..., h * hv:(h + 1) * hv], g[..., h * hv:(h + 1) * hv]
+        logits = (qh @ np.swapaxes(kh, -1, -2)) * c
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        dq = ds @ kh
+        parts.append((p @ vh, dq.sum(axis=tuple(range(dq.ndim - q.ndim))),
+                      np.swapaxes(ds, -1, -2) @ qh, np.swapaxes(p, -1, -2) @ gh))
+    return [np.concatenate(xs, axis=-1) for xs in zip(*parts)]
+
+
+def textbook_layer_norm(x, gain, bias, g, eps=1e-5):
+    n = x.shape[-1]
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / std
+    gy = g * gain
+    dx = (gy - gy.mean(axis=-1, keepdims=True)
+          - xhat * (gy * xhat).mean(axis=-1, keepdims=True)) / std
+    return (xhat * gain + bias, dx, (g * xhat).reshape(-1, n).sum(axis=0, keepdims=True),
+            g.reshape(-1, n).sum(axis=0, keepdims=True))
+
+
+def textbook_linear(x, w, b, g):
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    return x @ w + b, g @ w.T, np.einsum("ri,rj->ij", x2, g2), g2.sum(axis=0, keepdims=True)
+
+
+def assert_close(got, want, tol):
+    """Each array within tol of the oracle's, relative to its largest entry."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("layout", ["2d", "batch", "broadcast-q"])
+@pytest.mark.parametrize("tq", [1, 4, 40])
+def test_attention_matches_the_textbook_formulas(heads, layout, tq):
+    rng = np.random.default_rng(tq * 10 + heads)
+    lead = () if layout == "2d" else (3,)
+    q = rng.normal(scale=2.0, size=(() if layout == "broadcast-q" else lead) + (tq, 16))
+    k, v = rng.normal(size=lead + (11, 16)), rng.normal(size=lead + (11, 8))
+    g = rng.normal(size=lead + (tq, 8))
+    got = forward_and_grads(lambda *t: ad.scaled_dot_attention(*t, heads=heads), [q, k, v], g)
+    assert_close(got, textbook_attention(q, k, v, heads, g), 1e-12)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+def test_layer_norm_and_linear_match_numpy_reductions(dtype, tol, lead):
+    # float32 kernels against the float64 oracle of the same float32 inputs
+    rng = np.random.default_rng(len(lead))
+    x = (rng.normal(size=lead + (9, 64)) * 3.0 + 1.0).astype(dtype)
+    g = rng.normal(size=lead + (9, 64)).astype(dtype)
+    gain, bias = rng.normal(size=(1, 64)).astype(dtype), rng.normal(size=(1, 64)).astype(dtype)
+    w, b = rng.normal(size=(64, 5)).astype(dtype), rng.normal(size=(1, 5)).astype(dtype)
+    g5 = rng.normal(size=lead + (9, 5)).astype(dtype)
+    f64 = lambda *arrays: [a.astype(np.float64) for a in arrays]
+    assert_close(forward_and_grads(ad.layer_norm, [x, gain, bias], g),
+                 textbook_layer_norm(*f64(x, gain, bias, g)), tol)
+    assert_close(forward_and_grads(ad.linear, [x, w, b], g5),
+                 textbook_linear(*f64(x, w, b, g5)), tol)

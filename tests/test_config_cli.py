@@ -407,6 +407,29 @@ def test_param_store_load_rejects_a_mistyped_sidecar(tmp_path, edit, match):
     assert not np.any(other["a.w"].data)
 
 
+def test_param_store_checks_a_sidecar_model_section_only_when_both_sides_have_one(tmp_path):
+    path = tmp_path / "m.ckpt"
+    trained = {"switches": {"sci": True, "ca": False}, "labels": ["a", "b"]}
+    counting_store().save(path, model=trained)
+    assert json.loads(path.with_suffix(".ckpt.json").read_text())["model"] == trained
+    other = counting_store()
+    other["a.w"].data = np.zeros((1, 4))
+    with pytest.raises(ValidationError, match=r"different switches\.ca: False in the "
+                                              r"checkpoint, True in the config"):
+        other.load(path, model={"switches": {"sci": True, "ca": True}, "labels": ["a", "b"]})
+    with pytest.raises(ValidationError, match=r"different labels: \['a', 'b'\] in the "
+                                              r"checkpoint, \['b', 'a'\]"):
+        other.load(path, model={"switches": trained["switches"], "labels": ["b", "a"]})
+    with pytest.raises(ValidationError, match=r"different template: None in the checkpoint"):
+        other.load(path, model={**trained, "template": "A {}"})
+    assert not np.any(other["a.w"].data)
+    other.load(path)  # no model asked for: the section is not read
+    assert np.array_equal(other["a.w"].data, counting_store()["a.w"].data)
+    counting_store().save(path)  # no section, as older checkpoints: loads under any model
+    assert "model" not in json.loads(path.with_suffix(".ckpt.json").read_text())
+    counting_store().load(path, model=trained)
+
+
 def test_cli_eval_of_a_float32_sidecar_is_an_io_error(tmp_path, capsys):
     out = tmp_path / "run"
     path = write_tiny(tmp_path, out_dir=str(out))
@@ -771,6 +794,34 @@ def test_cli_dump_embeddings(tmp_path):
         sample_id, label, *features = row.split(",")
         assert (sample_id, int(label)) == (sample.sample_id, sample.label)
         assert [float(f) for f in features] == want
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+@pytest.mark.parametrize("edit,field", [
+    (lambda doc: doc.pop("switches"), "switches.ca: False in the checkpoint, True"),
+    (lambda doc: doc["data"]["classes"].reverse(), "labels: ['square moving right', "
+                                                   "'square moving left'] in the checkpoint"),
+    (lambda doc: doc.update(template="A {}"), "template: 'The action of the human is {}' "
+                                              "in the checkpoint, 'A {}'"),
+], ids=["switches-all-on", "labels-reordered", "template"])
+def test_cli_loads_a_checkpoint_only_under_the_settings_it_was_trained_with(
+        tmp_path, monkeypatch, capsys, command, edit, field):
+    out = tmp_path / "run"
+    trained = write_tiny(tmp_path, out_dir=str(out), switches={"ca": False})
+    assert run_cli(["train", "--config", str(trained), "--epochs", "1"]) == 0
+    assert json.loads((out / "model.ckpt.json").read_text())["model"] == {
+        "switches": {"sci": True, "lvm": True, "mt": True, "sa": True, "ca": False},
+        "labels": TINY["data"]["classes"], "template": "The action of the human is {}"}
+    assert run_cli([command, "--config", str(trained)]) == 0
+    doc = json.loads(trained.read_text())
+    edit(doc)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "make_datasets", lambda *a, **k: pytest.fail("data synthesised"))
+    assert run_cli([command, "--config", str(other)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("io error: checkpoint ") and f"different {field}" in err
 
 
 UNREAD_FLAGS = [
