@@ -27,7 +27,7 @@ from .errors import ConfigError, NumericError, ParseError, ValidationError
 from .events import Sample
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
-from .trainer import EncodingMemo, encode_blocks, evaluate, head_rows, train
+from .trainer import EncodingMemo, classify_rows, evaluate, train
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -80,8 +80,9 @@ def _model_section(cfg: RunConfig) -> dict:
     """The settings a checkpoint's values were trained under: train writes
     them into its sidecar, and eval and dump-embeddings load it only under
     equal ones."""
-    return {"switches": dict(vars(cfg.switches)), "labels": cfg.labels,
-            "template": cfg.template}
+    d = {**config_to_dict(cfg), "labels": cfg.labels}
+    return {k: d[k] for k in ("switches", "labels", "template", "rgb_encoder",
+                              "event_encoder", "text", "fusion", "shallow_encoder_depth")}
 
 
 def _write_json(path: Path, obj) -> None:
@@ -262,12 +263,14 @@ def cmd_dump_embeddings(args) -> int:
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg), model=_model_section(cfg))
     dataset = _split_samples(cfg, args.split)
-    _, pooled = head_rows(model, encode_blocks(model, dataset), model.text_tokens())
+    _, pooled = classify_rows(model, dataset)
+    if not np.all(np.isfinite(pooled)):
+        raise NumericError("dump-embeddings: non-finite pooled features")
     path = out / f"embeddings_{args.split}.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "label"] + [f"f{i}" for i in range(cfg.fusion.dim)])
-        for sample, row in zip(dataset, pooled.data.tolist()):
+        for sample, row in zip(dataset, pooled.tolist()):
             writer.writerow([sample.sample_id, sample.label] + row)
     print(f"wrote {len(dataset)} rows to {path}")
     return EXIT_OK

@@ -153,7 +153,7 @@ class Model:
         init_encoder_params(self.store, "event", cfg.event, rng)
         init_text_params(self.store, "text", cfg.text, self.vocab, rng)
         init_fusion_params(self.store, "fusion", cfg.fusion, cfg.n_classes, rng)
-        self._text_memo: dict[np.dtype, tuple[tuple, np.ndarray]] = {}
+        self._text_memo: tuple[tuple, np.ndarray] | None = None
 
     # -- forward stages --------------------------------------------------
 
@@ -180,9 +180,9 @@ class Model:
         While a text.* parameter takes gradients, outside no_grad, the text
         branch is built on the tape. Otherwise the (L, d) tokens depend only
         on the text config, the template, the labels and the text.* values,
-        so they are computed once per dtype of those values and served again
-        while all of these are unchanged: the key holds their repr and each
-        value's exact dtype, shape and bytes, so a value written in place
+        so they are computed once and served again while all of these are
+        unchanged: the key holds their repr and each value's exact dtype,
+        shape and bytes, so a value written in place or cast to another dtype
         recomputes."""
         if not self.cfg.switches.sci:
             return self.store["fusion.free_tokens"]
@@ -191,11 +191,9 @@ class Model:
             return self._encode_labels()
         key = (repr((self.cfg.text, self.cfg.template, self.cfg.labels)),
                [(t.data.dtype.str, t.data.shape, t.data.tobytes()) for t in params])
-        dtype = params[0].data.dtype  # training steps and evaluation each keep theirs
-        entry = self._text_memo.get(dtype)
-        if entry is None or entry[0] != key:
-            entry = self._text_memo[dtype] = (key, self._encode_labels().data)
-        return Tensor(entry[1])
+        if self._text_memo is None or self._text_memo[0] != key:
+            self._text_memo = (key, self._encode_labels().data)
+        return Tensor(self._text_memo[1])
 
     def _encode_labels(self) -> Tensor:
         return encode_labels(self.cfg.labels, self.cfg.template, self.cfg.text,

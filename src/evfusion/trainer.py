@@ -121,10 +121,11 @@ class EncodingMemo:
 
     Maps (encoder key, sample key) to the sample's (fv, fe) rows of
     Model.encode_sample. Both keys are content digests: the encoder key
-    covers both encoder configs and the value of every rgb.* and event.*
-    parameter, so a parameter written in place misses instead of serving
-    a stale entry; the sample key covers the frames, timestamps, events
-    and resolution.
+    covers both encoder configs and the dtype and value of every rgb.* and
+    event.* parameter, so a parameter written in place misses instead of
+    serving a stale entry; the sample key covers the frames, timestamps,
+    events and resolution. Training steps and classification both read the
+    parameters cast to TRAIN_DTYPE, so they share one entry per sample.
     """
 
     def __init__(self):
@@ -166,9 +167,10 @@ class EncodingMemo:
 # the batch size.
 HEAD_BATCH = 4
 
-# The dtype of a training step's forward and backward passes. Parameter
-# values, gradients, AdamW moments, checkpoints and every pass outside
-# training (forward, evaluate, the gradient check) stay float64.
+# The dtype of every pass that trains or classifies: a training step's
+# forward and backward, evaluate and the embedding export. Parameter values,
+# gradients, AdamW moments, checkpoints, Model.forward and the gradient check
+# stay float64.
 TRAIN_DTYPE = np.float32
 
 
@@ -214,6 +216,23 @@ def head_rows(model: Model, blocks: Iterable[Block], ft: Tensor) -> tuple[Tensor
     """The stacked (N, L) logits and (N, d) pooled features of head_blocks."""
     logits, pooled = zip(*head_blocks(model, blocks, ft))
     return ad.concat_rows(*logits), ad.concat_rows(*pooled)
+
+
+def classify_rows(model: Model, dataset: Sequence[Sample],
+                  memo: EncodingMemo | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 (N, L) logits and (N, d) pooled features of the samples,
+    computed in TRAIN_DTYPE on a cast of the parameters, as a training step
+    computes them. Frozen encodings come from memo when one is given;
+    without one every sample is encoded and no key is computed."""
+    with model.store.cast(TRAIN_DTYPE):
+        cached = memo.encode(model, dataset) if memo is not None else None
+        if cached is not None:
+            blocks = stack_blocks((Tensor(fv), Tensor(fe)) for fv, fe in cached)
+        else:
+            blocks = encode_blocks(model, dataset)
+        logits, pooled = head_rows(model, blocks, model.text_tokens())
+    return (logits.data.astype(np.float64, copy=False),
+            pooled.data.astype(np.float64, copy=False))
 
 
 def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
@@ -282,9 +301,8 @@ def train(dataset: list[Sample], model: Model, cfg: OptimConfig,
     must equal them. When both encoders are frozen their per-sample outputs
     are constant across steps: they come from memo (a fresh one when None),
     which also serves every per-epoch evaluation of eval_dataset. The steps
-    and their memo entries compute in TRAIN_DTYPE, the evaluations in
-    float64; the memo keys on the dtype, so the two never share an entry.
-    Frozen parameters never update.
+    and the evaluations both compute in TRAIN_DTYPE, so an evaluation reads
+    the memo entries the steps made. Frozen parameters never update.
     """
     if not dataset:
         raise ContractError("dataset must be nonempty")
@@ -343,20 +361,16 @@ def evaluate(dataset: list[Sample], model: Model,
              memo: EncodingMemo | None = None) -> dict:
     """Top-1/top-5 accuracy, per-class accuracy, confusion counts, and
     per-sample softmax scores. switches, when given, must equal those of the
-    model's config. Frozen encodings come from memo when one is given;
-    without one every sample is encoded and no key is computed."""
+    model's config. The logits are those of classify_rows, which reads
+    frozen encodings from memo when one is given; the scores, ranks and
+    accuracies are computed from them in float64."""
     if not dataset:
         raise ContractError("dataset must be nonempty")
     _check_switches(model, switches)
     n_classes = model.cfg.n_classes
     labels = np.array([s.label for s in dataset])
     _check_labels(labels, n_classes, "evaluate: label")
-    cached = memo.encode(model, dataset) if memo is not None else None
-    if cached is not None:
-        blocks = stack_blocks((Tensor(fv), Tensor(fe)) for fv, fe in cached)
-    else:
-        blocks = encode_blocks(model, dataset)
-    logits = head_rows(model, blocks, model.text_tokens())[0].data
+    logits, _ = classify_rows(model, dataset, memo)
     if not np.all(np.isfinite(logits)):
         raise NumericError("evaluate: non-finite logits")
     order = np.argsort(-logits, axis=1, kind="stable")  # ties: lower class first

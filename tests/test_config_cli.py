@@ -19,7 +19,7 @@ from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import AblationSwitches, FusionConfig, Model
 from evfusion.params import ParamStore
 from evfusion.text import TextConfig
-from evfusion.trainer import OptimConfig, encode_blocks, head_rows
+from evfusion.trainer import TRAIN_DTYPE, OptimConfig, encode_blocks, head_rows
 
 
 TINY = {
@@ -788,12 +788,47 @@ def test_cli_dump_embeddings(tmp_path):
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(out / "model.ckpt")
     train_set, _ = make_datasets(cfg)
-    with ad.no_grad():
+    with ad.no_grad(), model.store.cast(TRAIN_DTYPE):  # the export computes as a step does
         _, pooled = head_rows(model, encode_blocks(model, train_set), model.text_tokens())
-    for row, sample, want in zip(rows[1:], train_set, pooled.data.tolist()):
+    assert pooled.data.dtype == TRAIN_DTYPE
+    want_rows = pooled.data.astype(np.float64).tolist()
+    for row, sample, want in zip(rows[1:], train_set, want_rows):
         sample_id, label, *features = row.split(",")
         assert (sample_id, int(label)) == (sample.sample_id, sample.label)
         assert [float(f) for f in features] == want
+
+
+def save_tiny_checkpoint(path, out, name, value):
+    """A checkpoint of the tiny model with one entry of name set to value."""
+    cfg = load_config(path)
+    model = Model(cfg.model_config(), seed=cfg.seed)
+    model.store[name].data[0, 0] = value
+    out.mkdir()
+    model.store.save(out / "model.ckpt")
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "above-float32-max"])
+def test_cli_dump_embeddings_of_non_finite_features_is_a_numeric_failure(tmp_path, capsys,
+                                                                          value):
+    # the attention logits stay finite (wv does not enter them), the pooled rows do not;
+    # 1e39 is finite in the float64 checkpoint and overflows in the float32 pass
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out))
+    save_tiny_checkpoint(path, out, "fusion.final.attn.wv.w", value)
+    assert run_cli(["dump-embeddings", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "numeric failure: dump-embeddings: non-finite pooled features\n"
+    assert not (out / "embeddings_train.csv").exists()
+
+
+def test_cli_eval_of_a_weight_above_float32_max_is_a_numeric_failure(tmp_path, capsys):
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out))
+    save_tiny_checkpoint(path, out, "fusion.final.attn.wv.w", 1e39)
+    assert run_cli(["eval", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    assert not (out / "eval_metrics.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
@@ -811,7 +846,11 @@ def test_cli_loads_a_checkpoint_only_under_the_settings_it_was_trained_with(
     assert run_cli(["train", "--config", str(trained), "--epochs", "1"]) == 0
     assert json.loads((out / "model.ckpt.json").read_text())["model"] == {
         "switches": {"sci": True, "lvm": True, "mt": True, "sa": True, "ca": False},
-        "labels": TINY["data"]["classes"], "template": "The action of the human is {}"}
+        "labels": TINY["data"]["classes"], "template": "The action of the human is {}",
+        "rgb_encoder": {**TINY["rgb_encoder"], "frozen": True},
+        "event_encoder": {**TINY["event_encoder"], "frozen": True},
+        "text": {**TINY["text"], "depth": 1, "mlp_ratio": 4.0, "frozen": False},
+        "fusion": {**TINY["fusion"], "depth": 1}, "shallow_encoder_depth": 1}
     assert run_cli([command, "--config", str(trained)]) == 0
     doc = json.loads(trained.read_text())
     edit(doc)
@@ -822,6 +861,23 @@ def test_cli_loads_a_checkpoint_only_under_the_settings_it_was_trained_with(
     assert run_cli([command, "--config", str(other)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("io error: checkpoint ") and f"different {field}" in err
+
+
+def test_cli_loads_a_checkpoint_only_under_the_fusion_heads_it_was_trained_with(
+        tmp_path, capsys):
+    # the head count changes no parameter shape, so only the model section tells
+    out = tmp_path / "run"
+    trained = write_tiny(tmp_path, out_dir=str(out))
+    assert run_cli(["train", "--config", str(trained), "--epochs", "1"]) == 0
+    (tmp_path / "other").mkdir()
+    other = write_tiny(tmp_path / "other", out_dir=str(out),
+                       fusion={**TINY["fusion"], "heads": 4})
+    for command in ("eval", "dump-embeddings"):
+        capsys.readouterr()
+        assert run_cli([command, "--config", str(other)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: checkpoint ") and "Traceback" not in err
+        assert "different fusion.heads: 2 in the checkpoint, 4 in the config" in err
 
 
 UNREAD_FLAGS = [

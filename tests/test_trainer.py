@@ -589,13 +589,13 @@ def test_training_with_a_frozen_text_branch_encodes_the_labels_once(monkeypatch)
     assert len(log) == 3 and len(calls) == 1  # 6 steps
 
 
-def test_frozen_text_branch_is_encoded_once_per_dtype_over_train_and_evaluations(monkeypatch):
+def test_frozen_text_branch_is_encoded_once_over_train_and_evaluations(monkeypatch):
     data = tiny_dataset()
     model = tiny_model(seed=3)
     model.store.freeze("text.")
     calls = count_label_encodes(monkeypatch)
     log = train(data, model, OptimConfig(epochs=3, batch_size=4), eval_dataset=data[:2])
-    assert len(log) == 3 and len(calls) == 2  # the steps' float32, the evaluations' float64
+    assert len(log) == 3 and len(calls) == 1  # steps and evaluations share the dtype
 
 
 def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
@@ -679,14 +679,23 @@ def frozen_encodings(model, data):
         return [tuple(t.data[0] for t in model.encode_sample([s])) for s in data]
 
 
-@pytest.mark.parametrize("combo", SWITCH_COMBOS,
-                         ids=lambda c: "-".join(f"{k}{int(v)}" for k, v in c.items()))
-def test_head_rows_bit_equals_per_sample_heads(combo):
+def combo_id(combo) -> str:
+    return "-".join(f"{k}{int(v)}" for k, v in combo.items())
+
+
+@pytest.mark.parametrize("combo,dtype", [
+    *(pytest.param(c, np.float64, id=combo_id(c)) for c in SWITCH_COMBOS),
+    *(pytest.param(c, np.float32, id=combo_id(c) + "-float32") for c in SWITCH_COMBOS),
+])
+def test_head_rows_bit_equals_per_sample_heads(combo, dtype):
     model = tiny_model(seed=1, **combo)
-    enc = frozen_encodings(model, tiny_dataset()[:6])  # sub-batches of 4 and 2
-    ft = model.text_tokens()
-    logits, pooled = head_rows(model, stack_blocks((Tensor(a), Tensor(b)) for a, b in enc), ft)
-    rows = [model.head(Tensor(a), Tensor(b), ft) for a, b in enc]
+    with model.store.cast(dtype):
+        enc = frozen_encodings(model, tiny_dataset()[:6])  # sub-batches of 4 and 2
+        ft = model.text_tokens()
+        logits, pooled = head_rows(model, stack_blocks((Tensor(a), Tensor(b)) for a, b in enc),
+                                   ft)
+        rows = [model.head(Tensor(a), Tensor(b), ft) for a, b in enc]
+    assert logits.data.dtype == pooled.data.dtype == dtype
     assert logits.shape == (6, len(LABELS)) and pooled.shape == (6, DIM)
     assert logits.data.tobytes() == np.concatenate([r[0].data for r in rows]).tobytes()
     assert pooled.data.tobytes() == np.concatenate([r[1].data for r in rows]).tobytes()
@@ -857,7 +866,7 @@ def test_a_training_step_holds_one_head_block_at_a_time():
     assert desk_step_peak_mb(16) <= 1.25 * desk_step_peak_mb(4)
 
 
-# -- float32 training steps, float64 everything else ----------------------------
+# -- float32 training steps and classification, float64 master weights ------------
 
 def record_node_dtypes(monkeypatch):
     """The dtype of every tape node _make creates from now on."""
@@ -876,7 +885,7 @@ def test_a_float32_step_creates_only_float32_nodes(monkeypatch, case):
     assert seen and set(seen) == {np.dtype(np.float32)}
 
 
-def test_train_keeps_float64_values_moments_checkpoints_and_inference(monkeypatch, tmp_path):
+def test_train_keeps_float64_values_moments_checkpoints_and_forward(monkeypatch, tmp_path):
     model, data, states = tiny_model(seed=1), tiny_dataset(), []
     real = trainer.adamw_step
     monkeypatch.setattr(trainer, "adamw_step",
@@ -892,8 +901,13 @@ def test_train_keeps_float64_values_moments_checkpoints_and_inference(monkeypatc
     assert json.loads((tmp_path / "m.ckpt.json").read_text())["dtype"] == "<f8"
     seen = record_node_dtypes(monkeypatch)
     assert model.forward(data[0]).data.dtype == f64
-    evaluate(data, model)
     assert seen and set(seen) == {f64}
+    seen.clear()
+    result = evaluate(data, model)  # classifies as a step computes, scores in float64
+    assert seen and set(seen) == {np.dtype(trainer.TRAIN_DTYPE)}
+    for row in result["per_sample"]:
+        assert all(type(p) is float for p in row["scores"])
+        assert abs(math.fsum(row["scores"]) - 1.0) <= 1e-12
 
 
 def test_a_float32_step_agrees_with_a_float64_step(monkeypatch):
@@ -917,13 +931,40 @@ def test_a_float32_step_agrees_with_a_float64_step(monkeypatch):
     assert all(np.max(np.abs(params[n] - ref_params[n])) <= 1e-5 for n in params)
 
 
-def test_evaluate_after_train_with_a_shared_memo_is_float64_exact():
+def test_evaluate_after_train_reads_the_steps_memo_entries(monkeypatch):
     data, memo = tiny_dataset(), EncodingMemo()
     model = tiny_model(seed=3)
     train(data, model, OptimConfig(epochs=2, batch_size=4), memo=memo)
-    assert len(memo) == len(data)  # the steps' float32 entries
-    assert evaluate(data, model, memo=memo) == evaluate(data, model)
-    assert len(memo) == 2 * len(data)  # a float64 entry of each sample beside it
+    assert len(memo) == len(data)  # the steps' entries
+    calls = count_encodes(monkeypatch)
+    with_memo = evaluate(data, model, memo=memo)
+    assert calls == [] and len(memo) == len(data)  # no second entry of any sample
+    assert with_memo == evaluate(data, model)
+
+
+def test_evaluate_of_each_sample_alone_equals_its_row_of_the_whole_set():
+    data = tiny_dataset(samples_per_class=2)[:6]  # blocks of 4 and 2
+    model = tiny_model(seed=3)
+    whole = evaluate(data, model)["per_sample"]
+    assert [evaluate([s], model)["per_sample"][0] for s in data] == whole
+
+
+def test_float32_evaluate_matches_the_float64_forward_of_a_trained_model():
+    data = tiny_dataset(samples_per_class=3)
+    model = tiny_model(seed=3)
+    log = train(data, model, OptimConfig(epochs=20, batch_size=4, base_lr=1e-2))
+    assert log[-1]["train_loss"] < 0.75 * math.log(len(LABELS))  # the scores are not flat
+    assert trainer.TRAIN_DTYPE is np.float32
+    result = evaluate(data, model)
+    with ad.no_grad():
+        logits = np.concatenate([model.forward(s).data for s in data])
+    assert logits.dtype == np.float64
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    scores = np.array([row["scores"] for row in result["per_sample"]])
+    assert [row["pred"] for row in result["per_sample"]] == np.argmax(logits, axis=1).tolist()
+    assert np.max(np.abs(scores - want)) <= 1e-5
+    assert np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_param_store_cast_restores_the_float64_values_when_the_block_raises():
