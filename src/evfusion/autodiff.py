@@ -4,16 +4,16 @@ Tensors wrap row-major float32 or float64 numpy arrays of at least two
 axes: the last two are rows and columns. The operands fix the dtype: each
 primitive computes and allocates in the dtype of its inputs, so float64 in
 gives float64 out, and a leaf's ``.grad`` is float64 whatever the dtype of
-the graph. ``linear``, ``add``, ``layer_norm``,
-``concat_rows``, ``slice_rows``, ``mean_rows``, ``reshape``,
-``scaled_dot_attention`` and the elementwise ops also take leading batch
-axes (the frames of a clip, the samples of a batch); ``matmul``,
-``logsumexp_rows`` and ``neg_pick`` are 2-D, and so is ``take_rows``' table,
-whose indices may have any shape. Every differentiable operation records
-its parents and a backward closure on the output, forming an acyclic
-define-by-run tape, except inside ``no_grad``. ``backward`` visits each
-node reachable from its root once, in decreasing creation order, and
-accumulates gradients into ``Tensor.grad`` of the leaves.
+the graph. ``linear``, ``add``, ``layer_norm``, ``concat_rows``,
+``slice_rows``, ``mean_rows``, ``reshape``, ``scaled_dot_attention`` and the
+elementwise ops also take leading batch axes (the frames of a clip, the
+samples of a batch); ``matmul`` and ``cross_entropy_rows``, the loss as one
+node, are 2-D, and so is ``take_rows``' table, whose indices may have any
+shape. Every differentiable operation records its parents and a backward
+closure on the output, forming an acyclic define-by-run tape, except inside
+``no_grad``. ``backward`` visits each node reachable from its root once, in
+decreasing creation order, and accumulates gradients into ``Tensor.grad`` of
+the leaves.
 
 Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
 arrays it allocated itself. It never writes into its inputs, the upstream
@@ -259,18 +259,24 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def logsumexp_rows(a: Tensor) -> Tensor:
-    """Row-wise log(sum(exp)), stable; output shape (m, 1)."""
-    _check_2d("logsumexp_rows", a)
+def cross_entropy_rows(a: Tensor, labels: np.ndarray) -> Tensor:
+    """Per-row -log softmax(a)[labels[i]] in stable log-sum-exp form, as a
+    (rows, 1) column: m + log(sum(exp(a - m))) - a[i, labels[i]]. The
+    backward is g * softmax(a) less g at the labels."""
+    _check_2d("cross_entropy_rows", a)
+    rows = np.arange(a.shape[0])
     m = a.data.max(axis=1, keepdims=True)
     soft = a.data - m
     np.exp(soft, out=soft)
     z = soft.sum(axis=1, keepdims=True)
     data = m + np.log(z)
+    data -= a.data[rows, labels].reshape(-1, 1)
     soft /= z
 
     def backward(g):
-        return (g * soft,)
+        ga = g * soft
+        ga[rows, labels] -= g[:, 0]
+        return (ga,)
 
     return _make(data, (a,), backward)
 
@@ -400,21 +406,6 @@ def take_rows(table: Tensor, indices) -> Tensor:
         return (full,)
 
     return _make(data, (table,), backward)
-
-
-def neg_pick(a: Tensor, cols: np.ndarray) -> Tensor:
-    """-a[i, cols[i]] for every row i, as a (rows, 1) column; the backward
-    scatters -g into the picked entries."""
-    _check_2d("neg_pick", a)
-    rows = np.arange(a.shape[0])
-    data = -a.data[rows, cols].reshape(-1, 1)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows, cols] = -g[:, 0]
-        return (full,)
-
-    return _make(data, (a,), backward)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:

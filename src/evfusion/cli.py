@@ -236,9 +236,7 @@ def cmd_sweep_prompts(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    cfg = _load(args) if args.config else None
-    seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
-    report = run_gradcheck(seed=seed, inject_fault=args.inject_fault)
+    report = run_gradcheck(seed=_load(args).seed, inject_fault=args.inject_fault)
     for name, err in sorted(report["primitives"].items()):
         status = "PASS" if err < report["primitive_tolerance"] else "FAIL"
         print(f"{status} primitive {name}: max rel error {err:.3e}")

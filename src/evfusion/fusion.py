@@ -118,7 +118,7 @@ class ModelConfig:
     labels: list[str] = field(default_factory=list)
     template: PromptTemplate = field(default_factory=lambda: PromptTemplate("NONE"))
     # every parameter exists whatever the switches; they select the stages
-    # the forward pass runs
+    # the forward pass runs, and Model freezes the parameters of the others
     switches: AblationSwitches = field(default_factory=AblationSwitches)
 
     def __post_init__(self):
@@ -153,6 +153,12 @@ class Model:
         init_encoder_params(self.store, "event", cfg.event, rng)
         init_text_params(self.store, "text", cfg.text, self.vocab, rng)
         init_fusion_params(self.store, "fusion", cfg.fusion, cfg.n_classes, rng)
+        sw = cfg.switches  # freeze what they never read, so trainable means read
+        for prefix, read in (("fusion.free_tokens", not sw.sci), ("text.", sw.sci),
+                             ("fusion.mt_", sw.mt), ("fusion.sa_ve.", sw.sa),
+                             ("fusion.ca_", sw.ca)):
+            if not read:
+                self.store.freeze(prefix)
         self._text_memo: tuple[tuple, np.ndarray] | None = None
 
     # -- forward stages --------------------------------------------------

@@ -54,8 +54,9 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
         lambda: _weighted_sum(ad.gelu(x), w), [x], PRIMITIVE_EPS)
 
     w1 = rng.uniform(-1, 1, (3, 1))
-    results["logsumexp_rows"] = finite_diff_check(
-        lambda: _weighted_sum(ad.logsumexp_rows(x), w1), [x], PRIMITIVE_EPS)
+    results["cross_entropy_rows"] = finite_diff_check(
+        lambda: _weighted_sum(ad.cross_entropy_rows(x, np.array([3, 0, 3])), w1), [x],
+        PRIMITIVE_EPS)
 
     gain = Tensor(rng.uniform(0.5, 1.5, (1, 4)), requires_grad=True)
     bias = _rand(rng, 1, 4)
@@ -90,8 +91,6 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
         lambda: _weighted_sum(ad.scaled_dot_attention(q4, k4, v4, heads=4), w4),
         [q4, k4, v4], PRIMITIVE_EPS)
 
-    results["neg_pick"] = finite_diff_check(
-        lambda: _weighted_sum(ad.neg_pick(x, np.array([3, 0, 3])), w1), [x], PRIMITIVE_EPS)
     lw, lb = _rand(rng, 4, 2), _rand(rng, 1, 2)
     results["linear"] = finite_diff_check(
         lambda: _weighted_sum(ad.linear(x, lw, lb), w[:, :2]), [x, lw, lb], PRIMITIVE_EPS)
@@ -132,7 +131,7 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
 def end_to_end_check(seed: int = 0, n_params: int = 32,
                      coords_per_param: int = 2) -> tuple[float, list[str]]:
-    """Finite-difference check of the full model loss on sampled
+    """Finite-difference check of the full model loss on sampled trainable
     parameters spanning every sub-network.
 
     Returns (max relative error, names of the checked parameters)."""
@@ -155,8 +154,7 @@ def end_to_end_check(seed: int = 0, n_params: int = 32,
     model = Model(cfg.model_config(), seed=cfg.seed)
 
     rng = np.random.default_rng(seed)
-    # free_tokens only enter the graph with sci off; skip them here
-    names = [n for n in model.store.names() if n != "fusion.free_tokens"]
+    names = [n for n, _ in model.store.trainable_items()]
     groups: dict[str, list[str]] = {}
     for n in names:
         groups.setdefault(n.split(".")[0], []).append(n)

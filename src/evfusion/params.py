@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ContractError, NumericError, ParseError, ValidationError
 
 
 def digest(arrays: Iterable[np.ndarray], *context) -> bytes:
@@ -98,11 +98,17 @@ class ParamStore:
         """Hold every value as a dtype copy inside the block, so the graphs
         built there compute in dtype; the float64 values come back on exit,
         also when the block raises. Gradients stay float64, so an optimizer
-        step after the block updates the float64 values."""
+        step after the block updates the float64 values. A finite value beyond
+        dtype's range raises NumericError naming its parameter."""
         masters = [(t, t.data) for t in self._params.values()]
+        dtype = np.dtype(dtype)
         try:
-            for t, data in masters:
-                t.data = data.astype(dtype, copy=False)
+            with np.errstate(over="raise"):
+                for name, (t, data) in zip(self._params, masters):
+                    try:
+                        t.data = data.astype(dtype, copy=False)
+                    except FloatingPointError as exc:
+                        raise NumericError(f"{name}: a finite value overflows {dtype}") from exc
             yield
         finally:
             for t, data in masters:

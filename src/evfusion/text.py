@@ -124,10 +124,6 @@ def encode_labels(labels: list[str], tpl: PromptTemplate, cfg: TextConfig,
     one (G, n, dim) forward; the rows then return to class order. PAD
     positions are dropped before the forward: they enter neither the
     attention nor the pooled mean, so extra padding cannot leak in."""
-    if len(labels) < 2:
-        raise ContractError("need at least 2 labels")
-    if len(set(labels)) != len(labels):
-        raise ContractError("labels must be distinct")
     ids = [[i for i in tokenize(render_prompt(tpl, lb), vocab, cfg.max_len) if i != PAD]
            for lb in labels]
     groups: dict[int, list[int]] = {}  # real token count -> its classes, in order

@@ -68,22 +68,24 @@ def cross_entropy(logits: Tensor, targets: int | Sequence[int]) -> Tensor:
     if labels.shape != (b,):
         raise ContractError(f"{labels.size} targets for {b} rows of logits")
     _check_labels(labels, n, "target")
-    return ad.add(ad.logsumexp_rows(logits), ad.neg_pick(logits, labels))
+    return ad.cross_entropy_rows(logits, labels)
 
 
 def adamw_step(model: Model, state: TrainState, lr: float,
                cfg: OptimConfig) -> None:
-    """Decoupled-weight-decay update; frozen groups are skipped. The moments
-    in state are updated in place; each parameter gets a new array."""
+    """Decoupled-weight-decay update of every trainable parameter. Raises
+    ContractError, changing nothing, when one lacks a gradient of its shape.
+    The moments in state are updated in place; each parameter gets a new array."""
+    params = model.store.trainable_items()
+    for name, p in params:
+        if p.grad is None or p.grad.shape != p.data.shape:
+            got = "no gradient" if p.grad is None else f"a gradient of shape {p.grad.shape}"
+            raise ContractError(f"trainable parameter {name} of shape {p.data.shape} has {got}")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
-    for name, p in model.store.trainable_items():
+    for name, p in params:
         g = p.grad
-        if g is None:
-            continue
-        if g.shape != p.data.shape:
-            raise ContractError(f"gradient shape mismatch for {name}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -276,7 +278,7 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
             del logits, pooled, rows  # the block's tape goes with them
         if leaf.grad is not None:
             ad.backward(ft, leaf.grad.astype(dtype))
-    for name, p in model.store.trainable_items():
+    for name, p in model.store.trainable_items():  # a missing one is adamw_step's error
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NumericError(
                 f"non-finite gradient in the {name.split('.')[0]} group ({name})")

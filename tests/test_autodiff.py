@@ -546,10 +546,9 @@ def test_batched_primitive_shape_contracts():
 @pytest.mark.parametrize("op", [
     lambda x: ad.matmul(x, Tensor(np.ones((4, 2)))),
     lambda x: ad.matmul(Tensor(np.ones((2, 2))), x),
-    ad.logsumexp_rows,
     lambda x: ad.matmul(x, x),  # both operands 3-D is no batched matmul either
     lambda x: ad.take_rows(x, [0]),
-    lambda x: ad.neg_pick(x, np.array([0, 1])),
+    lambda x: ad.cross_entropy_rows(x, np.array([0, 1])),
 ])
 def test_row_ops_without_batch_axes_reject_3d_input(op):
     # (2, 4, 4) would otherwise pass as rows of a batch axis
@@ -629,6 +628,16 @@ def reference_linear(x, w, b, g):
             np.ones((1, g2.shape[0])) @ g2)
 
 
+def reference_cross_entropy_rows(x, labels, g):
+    rows = np.arange(len(x))
+    m = x.max(axis=1, keepdims=True)
+    soft = np.exp(x - m)
+    z = soft.sum(axis=1, keepdims=True)
+    grad = g * (soft / z)
+    grad[rows, labels] -= g[:, 0]
+    return (m + np.log(z)) - x[rows, labels][:, None], grad
+
+
 def forward_and_grads(op, arrays, g):
     """op's output and the gradient of sum(output * g) for each input."""
     ins = [Tensor(a, requires_grad=True) for a in arrays]
@@ -665,6 +674,18 @@ def test_layer_norm_gelu_linear_bit_equal_reference(lead):
     w, b, g5 = rng.normal(size=(16, 5)), rng.normal(size=(1, 5)), rng.normal(size=lead + (9, 5))
     assert_bit_equal(forward_and_grads(ad.linear, [x, w, b], g5),
                      reference_linear(x, w, b, g5))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_cross_entropy_rows_bit_equals_reference(dtype):
+    # the leaf gradient of float32 logits is their float32 gradient, upcast
+    rng = np.random.default_rng(31)
+    x = rng.normal(scale=3.0, size=(7, 5)).astype(dtype)
+    g = rng.normal(size=(7, 1)).astype(dtype)  # negative rows too
+    labels = np.array([4, 0, 2, 2, 1, 3, 4])
+    loss, grad = reference_cross_entropy_rows(x, labels, g)
+    assert_bit_equal(forward_and_grads(lambda t: ad.cross_entropy_rows(t, labels), [x], g),
+                     [loss, grad.astype(np.float64)])
 
 
 def test_primitives_write_into_no_array_they_do_not_own(monkeypatch):

@@ -725,6 +725,11 @@ def test_cli_config_error_exit_code(tmp_path):
     assert run_cli(["train", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_grad_check_of_a_negative_seed_is_a_config_error(capsys):
+    assert run_cli(["grad-check", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("section", ["rgb_encoder", "event_encoder", "text", "fusion"])
 def test_cli_removed_activation_key_is_config_error(tmp_path, capsys, section):
     path = write_tiny(tmp_path, **{section: {**TINY[section], "activation": "gelu"}})
@@ -807,17 +812,20 @@ def save_tiny_checkpoint(path, out, name, value):
     model.store.save(out / "model.ckpt")
 
 
-@pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "above-float32-max"])
+@pytest.mark.parametrize("value,message", [
+    (np.nan, "dump-embeddings: non-finite pooled features"),
+    (1e39, "fusion.final.attn.wv.w: a finite value overflows float32"),
+], ids=["nan", "above-float32-max"])
 def test_cli_dump_embeddings_of_non_finite_features_is_a_numeric_failure(tmp_path, capsys,
-                                                                          value):
+                                                                          value, message):
     # the attention logits stay finite (wv does not enter them), the pooled rows do not;
-    # 1e39 is finite in the float64 checkpoint and overflows in the float32 pass
+    # 1e39 is finite in the float64 checkpoint and fails the cast to float32
     out = tmp_path / "run"
     path = write_tiny(tmp_path, out_dir=str(out))
     save_tiny_checkpoint(path, out, "fusion.final.attn.wv.w", value)
     assert run_cli(["dump-embeddings", "--config", str(path)]) == 4
     err = capsys.readouterr().err
-    assert err == "numeric failure: dump-embeddings: non-finite pooled features\n"
+    assert err == f"numeric failure: {message}\n"
     assert not (out / "embeddings_train.csv").exists()
 
 
@@ -827,7 +835,7 @@ def test_cli_eval_of_a_weight_above_float32_max_is_a_numeric_failure(tmp_path, c
     save_tiny_checkpoint(path, out, "fusion.final.attn.wv.w", 1e39)
     assert run_cli(["eval", "--config", str(path)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and "Traceback" not in err
+    assert err == "numeric failure: fusion.final.attn.wv.w: a finite value overflows float32\n"
     assert not (out / "eval_metrics.json").exists()
 
 

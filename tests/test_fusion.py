@@ -234,8 +234,6 @@ def test_gradients_flow_to_all_trainable_fusion_params():
     logits = model.forward(tiny_sample())
     backward(ad.sum_all(ad.mul(logits, logits)))
     for name, t in model.store.trainable_items():
-        if name == "fusion.free_tokens":
-            continue  # unused when the text branch is on
         assert t.grad is not None and np.abs(t.grad).sum() > 0, name
 
 

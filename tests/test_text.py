@@ -145,15 +145,6 @@ def test_encode_labels_gradients_match_one_label_at_a_time():
         assert np.max(np.abs(batched[name] - reference[name])) <= 1e-12, name
 
 
-def test_encode_labels_contract_errors():
-    tpl = PromptTemplate(NONE_TEMPLATE)
-    cfg, vocab, store = make_branch(tpl)
-    with pytest.raises(ContractError):
-        encode_labels(["only one"], tpl, cfg, vocab, store, "text")
-    with pytest.raises(ContractError):
-        encode_labels(["dup", "dup"], tpl, cfg, vocab, store, "text")
-
-
 def test_different_templates_give_different_tokens():
     cfg = TextConfig(dim=16, depth=1, heads=2, max_len=12)
     t1 = PromptTemplate("A photo of a {}")

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -99,22 +100,26 @@ def test_cross_entropy_batch_equals_single_rows_bit_exact():
 
 
 def test_cross_entropy_target_pick_matches_the_onehot_matmul_form_bit_exact():
-    # one gather node replaces matmul(mul(logits, -onehot), ones): the sum
-    # it replaces has one nonzero term, so losses and gradients are equal
+    # picking the target replaces (logits * -onehot) @ ones: the sum it
+    # replaces has one nonzero term, so losses and gradients are equal
     rng = np.random.default_rng(2)
     x = rng.normal(scale=3.0, size=(6, 5))
     labels = [4, 0, 2, 2, 1, 3]
     neg_onehot = np.zeros((6, 5))
     neg_onehot[np.arange(6), labels] = -1.0
-    old = Tensor(x, requires_grad=True)
-    picked = ad.matmul(ad.mul(old, Tensor(neg_onehot)), Tensor(np.ones((5, 1))))
-    old_losses = ad.add(ad.logsumexp_rows(old), picked)
-    backward(ad.mean_rows(old_losses))
+    # the one-hot form in numpy, with its log-sum-exp and their gradients
+    # under the mean over rows, g = 1/6 per row
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=1, keepdims=True)
+    old_losses = (m + np.log(z)) + (x * neg_onehot) @ np.ones((5, 1))
+    g = np.full((6, 1), 1.0) / 6
+    old_grad = g * (e / z) + (g @ np.ones((1, 5))) * neg_onehot
     new = Tensor(x, requires_grad=True)
     losses = cross_entropy(new, labels)
     backward(ad.mean_rows(losses))
-    assert np.array_equal(losses.data, old_losses.data)
-    assert np.array_equal(new.grad, old.grad)
+    assert np.array_equal(losses.data, old_losses)
+    assert np.array_equal(new.grad, old_grad)
 
 
 def test_cross_entropy_stable_for_extreme_logits():
@@ -168,6 +173,37 @@ def test_adamw_skips_frozen_parameters():
     model.store["rgb.patch.w"].grad = np.ones_like(frozen_before)
     adamw_step(model, TrainState(), lr=0.1, cfg=OptimConfig(base_lr=0.1))
     assert np.array_equal(model.store["rgb.patch.w"].data, frozen_before)
+
+
+@pytest.mark.parametrize("bad", ["missing", "misshapen"])
+def test_adamw_raises_on_a_trainable_gradient_missing_or_misshapen_and_changes_nothing(bad):
+    model, state = tiny_model(), TrainState()
+    for _, pt in model.store.trainable_items():
+        pt.grad = np.ones_like(pt.data)
+    adamw_step(model, state, lr=0.1, cfg=OptimConfig(base_lr=0.1))  # makes the moments
+    name, p = model.store.trainable_items()[-1]  # the last one the update would reach
+    p.grad = None if bad == "missing" else np.ones((1, *p.data.shape))
+    values = {n: t.data.copy() for n, t in model.store.items()}
+    moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in state.m}
+    got = "no gradient" if bad == "missing" else f"a gradient of shape {(1, *p.data.shape)}"
+    with pytest.raises(ContractError, match=re.escape(
+            f"trainable parameter {name} of shape {p.data.shape} has {got}")):
+        adamw_step(model, state, lr=0.1, cfg=OptimConfig(base_lr=0.1))
+    assert state.step == 1 and state.m.keys() == moments.keys()
+    assert all(np.array_equal(t.data, values[n]) for n, t in model.store.items())
+    assert all(np.array_equal(state.m[n], m) and np.array_equal(state.v[n], v)
+               for n, (m, v) in moments.items())
+
+
+def test_a_step_that_gives_a_trainable_parameter_no_gradient_raises():
+    # with sci on the free tokens are never read; made trainable, the step
+    # must not skip them
+    model = tiny_model(seed=2)
+    model.store["fusion.free_tokens"].requires_grad = True
+    with pytest.raises(ContractError, match=r"^trainable parameter fusion\.free_tokens "
+                                            r"of shape \(4, 16\) has no gradient$"):
+        trainer._train_step(model, tiny_dataset(), np.arange(4), None, TrainState(), 1e-3,
+                            OptimConfig())
 
 
 def test_optim_config_contracts():
@@ -701,6 +737,39 @@ def test_head_rows_bit_equals_per_sample_heads(combo, dtype):
     assert pooled.data.tobytes() == np.concatenate([r[1].data for r in rows]).tobytes()
 
 
+def assert_a_step_grads_exactly_the_trainable_parameters(model, data):
+    """One training step gives every trainable parameter a finite gradient
+    and a frozen one none."""
+    with model.store.cast(trainer.TRAIN_DTYPE):
+        cache = EncodingMemo().encode(model, data)
+    trainer._train_step(model, data, np.arange(len(data)), cache, TrainState(), 1e-3,
+                        OptimConfig())
+    for name, t in model.store.items():
+        if t.requires_grad:
+            assert t.grad is not None and np.isfinite(t.grad).all(), name
+        else:
+            assert t.grad is None, name
+
+
+@pytest.mark.parametrize("pattern", config.ABLATION_PATTERNS, ids=combo_id)
+def test_under_every_ablation_pattern_a_step_grads_exactly_the_trainable_parameters(pattern):
+    cfg = config.load_config(None, {
+        "data.samples_per_class": 1, "data.frames": 2, "data.resolution": [16, 16],
+        "rgb_encoder.image_size": 16, "rgb_encoder.dim": 16, "rgb_encoder.heads": 2,
+        "event_encoder.image_size": 16, "event_encoder.dim": 16, "event_encoder.heads": 2,
+        "text.dim": 16, "text.heads": 2, "fusion.dim": 16, "fusion.heads": 2,
+        **{f"switches.{k}": v for k, v in pattern.items()}})
+    data, _ = config.make_datasets(cfg)
+    assert_a_step_grads_exactly_the_trainable_parameters(
+        Model(cfg.model_config(), seed=cfg.seed), data)
+
+
+@pytest.mark.parametrize("combo", SWITCH_COMBOS, ids=combo_id)
+def test_under_every_switch_combination_a_step_grads_exactly_the_trainable_parameters(combo):
+    assert_a_step_grads_exactly_the_trainable_parameters(tiny_model(seed=3, **combo),
+                                                         tiny_dataset()[:6])
+
+
 @pytest.mark.parametrize("n", [1, 4, 5, 8, 9])
 def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
     model = tiny_model()
@@ -975,3 +1044,19 @@ def test_param_store_cast_restores_the_float64_values_when_the_block_raises():
             assert {t.data.dtype for t in model.store.tensors()} == {np.dtype(np.float32)}
             raise NumericError("stop")
     assert all(t.data is before[n] for n, t in model.store.items())
+
+
+def test_param_store_cast_of_a_finite_value_beyond_its_range_names_the_parameter():
+    model = tiny_model()
+    w = model.store["fusion.clf.w"].data
+    w[1, 2] = -1e39
+    before = {n: t.data for n, t in model.store.items()}
+    with pytest.raises(NumericError, match=r"^fusion\.clf\.w: a finite value overflows float32$"):
+        with model.store.cast(np.float32):
+            pytest.fail("the block ran")
+    assert all(t.data is before[n] for n, t in model.store.items())
+    # NaN and inf overflow nothing: they are cast as they are, for the checks downstream
+    w[1, 2], w[1, 3] = np.inf, np.nan
+    with model.store.cast(np.float32):
+        cast = model.store["fusion.clf.w"].data
+        assert cast.dtype == np.float32 and np.isposinf(cast[1, 2]) and np.isnan(cast[1, 3])
