@@ -7,13 +7,12 @@ gives float64 out, and a leaf's ``.grad`` is float64 whatever the dtype of
 the graph. ``linear``, ``add``, ``layer_norm``, ``concat_rows``,
 ``slice_rows``, ``mean_rows``, ``reshape``, ``scaled_dot_attention`` and the
 elementwise ops also take leading batch axes (the frames of a clip, the
-samples of a batch); ``matmul`` and ``cross_entropy_rows``, the loss as one
-node, are 2-D, and so is ``take_rows``' table, whose indices may have any
-shape. Every differentiable operation records its parents and a backward
-closure on the output, forming an acyclic define-by-run tape, except inside
-``no_grad``. ``backward`` visits each node reachable from its root once, in
-decreasing creation order, and accumulates gradients into ``Tensor.grad`` of
-the leaves.
+samples of a batch); ``cross_entropy_rows``, the loss as one node, is 2-D, and
+so is ``take_rows``' table, whose indices may have any shape. Every
+differentiable operation records its parents and a backward closure on the
+output, forming an acyclic define-by-run tape, except inside ``no_grad``.
+``backward`` visits each node reachable from its root once, in decreasing
+creation order, and accumulates gradients into ``Tensor.grad`` of the leaves.
 
 Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
 arrays it allocated itself. It never writes into its inputs, the upstream
@@ -46,8 +45,8 @@ from .errors import ContractError, DimensionError, NumericError
 _node_ids = itertools.count()
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 
-# Deliberately corrupts one backward rule when enabled; negative control
-# for the gradient-check harness.
+# Deliberately corrupts linear's weight gradient when enabled; negative
+# control for the gradient-check harness.
 _INJECT_BACKWARD_FAULT = False
 
 
@@ -182,22 +181,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return g * b.data, g * a.data
-
-    return _make(data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_2d("matmul", a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        ga = g @ b.data.T
-        gb = a.data.T @ g
-        if _INJECT_BACKWARD_FAULT:
-            gb = gb * 1.5
-        return ga, gb
 
     return _make(data, (a, b), backward)
 

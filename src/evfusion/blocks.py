@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ContractError
 from .params import ParamStore
 
 INIT_STD = 0.02
@@ -51,9 +52,22 @@ def multi_head_attention(store: ParamStore, prefix: str, x: Tensor, heads: int) 
     return linear(store, f"{prefix}.wo", attended)
 
 
+def mlp_hidden(dim: int, mlp_ratio: float) -> int:
+    """The hidden width of a transformer block's MLP."""
+    return int(round(dim * mlp_ratio))
+
+
+def check_stack(dim: int, depth: int, mlp_ratio: float) -> None:
+    """A config section's depth >= 0 blocks, each MLP at least one unit wide."""
+    if depth < 0:
+        raise ContractError(f"depth must be >= 0, got {depth}")
+    if (hidden := mlp_hidden(dim, mlp_ratio)) < 1:
+        raise ContractError(f"mlp_ratio {mlp_ratio} gives an MLP hidden width {hidden} < 1")
+
+
 def init_transformer_block(store: ParamStore, prefix: str, dim: int,
                            mlp_ratio: float, rng: np.random.Generator) -> None:
-    hidden = int(round(dim * mlp_ratio))
+    hidden = mlp_hidden(dim, mlp_ratio)
     init_layer_norm(store, f"{prefix}.ln1", dim)
     init_attention(store, f"{prefix}.attn", dim, rng)
     init_layer_norm(store, f"{prefix}.ln2", dim)

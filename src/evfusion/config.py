@@ -83,8 +83,8 @@ class RunConfig:
         applied here: off, both encoders become shallow and trainable."""
         rgb, event = self.rgb_encoder, self.event_encoder
         if not self.switches.lvm:
-            rgb = _shallow(rgb, self.shallow_encoder_depth)
-            event = _shallow(event, self.shallow_encoder_depth)
+            rgb = replace(rgb, depth=self.shallow_encoder_depth, frozen=False)
+            event = replace(event, depth=self.shallow_encoder_depth, frozen=False)
         return ModelConfig(rgb=rgb, event=event, text=self.text,
                            fusion=self.fusion, labels=self.labels,
                            template=PromptTemplate(self.template),
@@ -97,10 +97,6 @@ class RunConfig:
                          dvs_threshold=d.dvs_threshold, oversample=d.oversample,
                          frame_interval_us=d.frame_interval_us,
                          static_rgb=d.static_rgb)
-
-
-def _shallow(cfg: EncoderConfig, depth: int) -> EncoderConfig:
-    return replace(cfg, depth=depth, frozen=False)
 
 
 def make_datasets(cfg: RunConfig, *,
@@ -276,10 +272,12 @@ def validate(cfg: RunConfig) -> None:
             ("data.samples_per_class", d.samples_per_class, 1),
             ("data.eval_samples_per_class", d.eval_samples_per_class, 0),
             ("data.frames", d.frames, 1), ("data.resolution", min(d.resolution), 1),
-            ("data.oversample", d.oversample, 1),
-            ("data.frame_interval_us", d.frame_interval_us, 1)]:
+            ("data.oversample", d.oversample, 1)]:
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
+    if d.frame_interval_us < d.oversample:  # a 0 us simulation step; oversample >= 1
+        raise ConfigError(f"data.frame_interval_us ({d.frame_interval_us}) must be >= "
+                          f"data.oversample ({d.oversample})")
     if d.dvs_threshold <= 0:
         raise ConfigError("data.dvs_threshold must be positive")
     try:

@@ -41,6 +41,7 @@ class EncoderConfig:
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.dim % self.heads != 0:
             raise ContractError(f"dim {self.dim} not divisible by heads {self.heads}")
+        blocks.check_stack(self.dim, self.depth, self.mlp_ratio)
 
     @property
     def n_patches(self) -> int:
@@ -89,8 +90,6 @@ def init_encoder_params(store: ParamStore, prefix: str, cfg: EncoderConfig,
     for i in range(cfg.depth):
         blocks.init_transformer_block(store, f"{prefix}.block{i}", cfg.dim,
                                       cfg.mlp_ratio, rng)
-    if cfg.frozen:
-        store.freeze(prefix)
 
 
 def patchify_embed(frame: np.ndarray, cfg: EncoderConfig, store: ParamStore,

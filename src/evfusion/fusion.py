@@ -37,6 +37,7 @@ class FusionConfig:
         if self.dim % self.heads != 0:
             raise ContractError(
                 f"fusion.dim {self.dim} not divisible by fusion.heads {self.heads}")
+        blocks.check_stack(self.dim, self.depth, self.mlp_ratio)
 
 
 @dataclass
@@ -153,11 +154,12 @@ class Model:
         init_encoder_params(self.store, "event", cfg.event, rng)
         init_text_params(self.store, "text", cfg.text, self.vocab, rng)
         init_fusion_params(self.store, "fusion", cfg.fusion, cfg.n_classes, rng)
-        sw = cfg.switches  # freeze what they never read, so trainable means read
-        for prefix, read in (("fusion.free_tokens", not sw.sci), ("text.", sw.sci),
-                             ("fusion.mt_", sw.mt), ("fusion.sa_ve.", sw.sa),
-                             ("fusion.ca_", sw.ca)):
-            if not read:
+        sw = cfg.switches  # freeze frozen sections and what the switches never read
+        for prefix, trains in (("rgb.", not cfg.rgb.frozen), ("event.", not cfg.event.frozen),
+                               ("text.", sw.sci and not cfg.text.frozen),
+                               ("fusion.free_tokens", not sw.sci), ("fusion.mt_", sw.mt),
+                               ("fusion.sa_ve.", sw.sa), ("fusion.ca_", sw.ca)):
+            if not trains:
                 self.store.freeze(prefix)
         self._text_memo: tuple[tuple, np.ndarray] | None = None
 

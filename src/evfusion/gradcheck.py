@@ -34,11 +34,6 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
-    a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-    w = rng.uniform(-1, 1, (3, 2))
-    results["matmul"] = finite_diff_check(
-        lambda: _weighted_sum(ad.matmul(a, b), w), [a, b], PRIMITIVE_EPS)
-
     x, y = _rand(rng, 3, 4), _rand(rng, 3, 4)
     w = rng.uniform(-1, 1, (3, 4))
     results["add"] = finite_diff_check(
@@ -129,10 +124,9 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     return results
 
 
-def end_to_end_check(seed: int = 0, n_params: int = 32,
-                     coords_per_param: int = 2) -> tuple[float, list[str]]:
-    """Finite-difference check of the full model loss on sampled trainable
-    parameters spanning every sub-network.
+def end_to_end_check(seed: int = 0) -> tuple[float, list[str]]:
+    """Finite-difference check of the full model loss on 32 sampled
+    trainable parameters spanning every sub-network, 2 coordinates each.
 
     Returns (max relative error, names of the checked parameters)."""
     cfg = load_config(None, {
@@ -161,8 +155,7 @@ def end_to_end_check(seed: int = 0, n_params: int = 32,
     # one guaranteed pick per sub-network, the rest uniform
     chosen: list[str] = [g[rng.integers(len(g))] for g in groups.values()]
     pool = [n for n in names if n not in chosen]
-    extra = rng.choice(len(pool), size=max(0, n_params - len(chosen)),
-                       replace=False)
+    extra = rng.choice(len(pool), size=max(0, 32 - len(chosen)), replace=False)
     chosen.extend(pool[i] for i in extra)
 
     def loss_fn():
@@ -171,7 +164,7 @@ def end_to_end_check(seed: int = 0, n_params: int = 32,
 
     err = finite_diff_check(loss_fn, [model.store[n] for n in chosen],
                             eps=END_TO_END_EPS, rng=rng,
-                            max_coords_per_param=coords_per_param)
+                            max_coords_per_param=2)
     return err, chosen
 
 

@@ -100,6 +100,7 @@ class TextConfig:
                 raise ContractError(f"text.{name} must be >= 1, got {value}")
         if self.dim % self.heads != 0:
             raise ContractError(f"text.dim {self.dim} not divisible by text.heads {self.heads}")
+        blocks.check_stack(self.dim, self.depth, self.mlp_ratio)
 
 
 def init_text_params(store: ParamStore, prefix: str, cfg: TextConfig,
@@ -112,8 +113,6 @@ def init_text_params(store: ParamStore, prefix: str, cfg: TextConfig,
         blocks.init_transformer_block(store, f"{prefix}.block{i}", cfg.dim,
                                       cfg.mlp_ratio, rng)
     blocks.init_linear(store, f"{prefix}.proj", cfg.dim, cfg.dim, rng)
-    if cfg.frozen:
-        store.freeze(prefix)
 
 
 def encode_labels(labels: list[str], tpl: PromptTemplate, cfg: TextConfig,

@@ -3,7 +3,6 @@ plus top-k evaluation."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,14 +30,12 @@ class OptimConfig:
     stop_at_perfect_train: bool = False
 
     def __post_init__(self):
-        if self.base_lr < 0:
-            raise ContractError("base_lr must be >= 0")
+        for name, value, low in (("base_lr", self.base_lr, 0), ("batch_size", self.batch_size, 1),
+                                 ("epochs", self.epochs, 1)):
+            if value < low:
+                raise ContractError(f"{name} must be >= {low}")
         if not (0.0 <= self.schedule_floor_fraction < 1.0):
             raise ContractError("schedule_floor_fraction must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
         if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
             raise ContractError(f"betas must be two values in [0, 1), got {list(self.betas)}")
         if not self.weight_decay >= 0.0:
@@ -73,14 +70,17 @@ def cross_entropy(logits: Tensor, targets: int | Sequence[int]) -> Tensor:
 
 def adamw_step(model: Model, state: TrainState, lr: float,
                cfg: OptimConfig) -> None:
-    """Decoupled-weight-decay update of every trainable parameter. Raises
-    ContractError, changing nothing, when one lacks a gradient of its shape.
-    The moments in state are updated in place; each parameter gets a new array."""
+    """Decoupled-weight-decay update of every trainable parameter. Changing
+    nothing, the first one in store order without a gradient of its shape
+    raises ContractError, and with a non-finite one NumericError. The
+    moments in state are updated in place; each parameter gets a new array."""
     params = model.store.trainable_items()
     for name, p in params:
         if p.grad is None or p.grad.shape != p.data.shape:
             got = "no gradient" if p.grad is None else f"a gradient of shape {p.grad.shape}"
             raise ContractError(f"trainable parameter {name} of shape {p.data.shape} has {got}")
+        if not np.isfinite(p.grad).all():
+            raise NumericError(f"non-finite gradient in the {name.split('.')[0]} group ({name})")
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
@@ -176,24 +176,23 @@ HEAD_BATCH = 4
 TRAIN_DTYPE = np.float32
 
 
-def _stack(parts: list[Tensor], what: str) -> Tensor:
-    """n (T, d) encodings as one (n, T, d) batch, on the tape when they are."""
-    shape = parts[0].shape
-    if any(p.shape != shape for p in parts):
+def _stack(parts: Sequence[np.ndarray], what: str, dtype) -> Tensor:
+    """n (T, d) encodings as one (n, T, d) batch in dtype."""
+    if len({p.shape for p in parts}) > 1:
         raise DimensionError(
             f"stack_blocks: {what} encodings differ in shape: {[p.shape for p in parts]}")
-    return ad.reshape(ad.concat_rows(*parts), (len(parts), *shape))
+    return Tensor(np.stack(parts).astype(dtype, copy=False))
 
 
 Block = tuple[Tensor, Tensor]  # the (b, T, d) vision and event encodings of b samples
 
 
-def stack_blocks(encodings: Iterable[tuple[Tensor, Tensor]]) -> Iterator[Block]:
-    """The (T, d) (fv, fe) pairs of single samples, HEAD_BATCH to a block.
-    All samples must have the same token counts."""
-    pairs = iter(encodings)
-    while chunk := list(itertools.islice(pairs, HEAD_BATCH)):
-        yield _stack([fv for fv, _ in chunk], "vision"), _stack([fe for _, fe in chunk], "event")
+def stack_blocks(encodings: Sequence[tuple[np.ndarray, np.ndarray]], dtype) -> Iterator[Block]:
+    """The memoised (T, d) (fv, fe) arrays of single samples, HEAD_BATCH to
+    a block, in dtype. All samples must have the same token counts."""
+    for i in range(0, len(encodings), HEAD_BATCH):
+        fv, fe = zip(*encodings[i:i + HEAD_BATCH])
+        yield _stack(fv, "vision", dtype), _stack(fe, "event", dtype)
 
 
 def encode_blocks(model: Model, samples: Sequence[Sample]) -> Iterator[Block]:
@@ -228,10 +227,8 @@ def classify_rows(model: Model, dataset: Sequence[Sample],
     without one every sample is encoded and no key is computed."""
     with model.store.cast(TRAIN_DTYPE):
         cached = memo.encode(model, dataset) if memo is not None else None
-        if cached is not None:
-            blocks = stack_blocks((Tensor(fv), Tensor(fe)) for fv, fe in cached)
-        else:
-            blocks = encode_blocks(model, dataset)
+        blocks = (stack_blocks(cached, TRAIN_DTYPE) if cached is not None
+                  else encode_blocks(model, dataset))
         logits, pooled = head_rows(model, blocks, model.text_tokens())
     return (logits.data.astype(np.float64, copy=False),
             pooled.data.astype(np.float64, copy=False))
@@ -243,27 +240,22 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
     """One optimizer step on dataset[idx]: per-sample losses and correct
     count. The forward and backward passes compute in TRAIN_DTYPE on a cast
     of the parameters; AdamW then updates the float64 values from the
-    float64 gradients. Each head block is backpropagated as soon as its
-    forward ends and its tape is dropped before the next block starts; the
-    weight gradients accumulate in .grad. Raises NumericError, updating
-    nothing, when a loss or a trainable gradient is not finite."""
+    float64 gradients. Each head block's (b, 1) losses are backpropagated,
+    seeded with the batch weight 1/B, as soon as its forward ends, and its
+    tape is dropped before the next block starts; the weight gradients
+    accumulate in .grad. A non-finite loss raises NumericError, as
+    adamw_step does for a gradient, updating nothing."""
     model.store.zero_grad()
-    dtype = TRAIN_DTYPE
-    if cache is not None:  # a cache of another dtype is cast to the step's
-        blocks = stack_blocks((Tensor(cache[i][0].astype(dtype, copy=False)),
-                               Tensor(cache[i][1].astype(dtype, copy=False))) for i in idx)
-    else:
-        blocks = encode_blocks(model, [dataset[i] for i in idx])
+    blocks = (stack_blocks([cache[i] for i in idx], TRAIN_DTYPE) if cache is not None
+              else encode_blocks(model, [dataset[i] for i in idx]))
     labels = np.array([dataset[i].label for i in idx])
-    with model.store.cast(dtype):
+    with model.store.cast(TRAIN_DTYPE):
         # The text branch is built once per step. Every block reads its
         # tokens through a detached leaf that gathers their gradient, and
         # one seeded backward after the last block passes that gradient on
         # into the text branch.
         ft = model.text_tokens()
         leaf = Tensor(ft.data, requires_grad=ft.requires_grad)
-        # each sample's loss weighs 1/B of the batch mean
-        scale = Tensor(np.array([[1.0 / len(idx)]], dtype=dtype))
         losses, hits = [], 0
         # A plain for: enumerate and zip would keep the last block's outputs,
         # and with them its tape, alive while the next block runs.
@@ -274,14 +266,11 @@ def _train_step(model: Model, dataset: list[Sample], idx: np.ndarray,
                 raise NumericError(f"non-finite loss {rows.data.mean()}")
             losses += rows.data[:, 0].tolist()
             hits += int(np.sum(np.argmax(logits.data, axis=1) == block_labels))
-            ad.backward(ad.mul(ad.sum_all(rows), scale))
+            # each sample's loss weighs 1/B of the batch mean
+            ad.backward(rows, np.full(rows.shape, 1.0 / len(idx), rows.data.dtype))
             del logits, pooled, rows  # the block's tape goes with them
         if leaf.grad is not None:
-            ad.backward(ft, leaf.grad.astype(dtype))
-    for name, p in model.store.trainable_items():  # a missing one is adamw_step's error
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NumericError(
-                f"non-finite gradient in the {name.split('.')[0]} group ({name})")
+            ad.backward(ft, leaf.grad.astype(TRAIN_DTYPE))
     adamw_step(model, state, lr, cfg)
     return losses, hits
 

@@ -140,8 +140,23 @@ def test_config_error_cases(tmp_path):
     ({"data": []}, "data"),
     ({"text": {"heads": 0}}, "text.heads"),
     ({"text": {"dim": 10}}, "text.dim"),
+    # a simulation step frame_interval_us // oversample of 0 us
+    ({"data": {"frame_interval_us": 3, "oversample": 4}},
+     "data.frame_interval_us (3) must be >= data.oversample (4)"),
+    ({"fusion": {"mlp_ratio": -1.0}}, "fusion: mlp_ratio -1.0 gives an MLP hidden width -64 < 1"),
+    ({"rgb_encoder": {"mlp_ratio": -0.5}}, "rgb_encoder: mlp_ratio -0.5"),
+    ({"fusion": {"mlp_ratio": 0.0}}, "fusion: mlp_ratio 0.0"),
+    ({"text": {"mlp_ratio": 0.001}}, "text: mlp_ratio 0.001 gives an MLP hidden width 0 < 1"),
+    ({"rgb_encoder": {"depth": -1}}, "rgb_encoder: depth must be >= 0, got -1"),
+    ({"event_encoder": {"depth": -1}}, "event_encoder: depth must be >= 0, got -1"),
+    ({"text": {"depth": -1}}, "text: depth must be >= 0, got -1"),
+    ({"fusion": {"depth": -1}}, "fusion: depth must be >= 0, got -1"),
 ], ids=["resolution-int", "betas-float", "seed-str", "top-level-list", "frames-str",
-        "heads-zero", "data-list", "text-heads-zero", "text-dim-indivisible"])
+        "heads-zero", "data-list", "text-heads-zero", "text-dim-indivisible",
+        "frame-interval-below-oversample", "fusion-mlp-ratio-negative",
+        "rgb-mlp-ratio-negative", "fusion-mlp-ratio-zero", "text-mlp-ratio-tiny",
+        "rgb-depth-negative", "event-depth-negative", "text-depth-negative",
+        "fusion-depth-negative"])
 def test_wrongly_typed_config_value_is_a_config_error_naming_it(tmp_path, capsys, doc, field):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -149,7 +164,7 @@ def test_wrongly_typed_config_value_is_a_config_error_naming_it(tmp_path, capsys
         load_config(path)
     assert cli.main(["train", "--config", str(path), "--epochs", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and field in err
+    assert err.startswith("config error: ") and field in err and err.count("\n") == 1
 
 
 _JSON = st.recursive(

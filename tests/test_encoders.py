@@ -207,10 +207,21 @@ def test_event_frame_to_rgb_channels():
 
 
 def test_frozen_prefix_marked():
-    cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2, frozen=True)
-    store = make_encoder(cfg)
-    assert store.is_frozen("enc.patch.w")
-    assert not store.is_frozen("other.patch.w")
+    # init freezes nothing; Model freezes the sections their config marks frozen
+    from evfusion.fusion import FusionConfig, Model, ModelConfig
+    from evfusion.text import PromptTemplate, TextConfig
+
+    cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=1, frozen=True)
+    assert not any(make_encoder(cfg).is_frozen(n) for n in make_encoder(cfg).names())
+    model = Model(ModelConfig(rgb=cfg, event=EncoderConfig(image_size=16, patch_size=8, dim=8,
+                                                           heads=2, depth=1, frozen=False),
+                              text=TextConfig(dim=8, heads=2, frozen=True),
+                              fusion=FusionConfig(dim=8, heads=2),
+                              labels=["disc moving up", "bar moving left"],
+                              template=PromptTemplate("A photo of a {}")), seed=0)
+    frozen = ("rgb.", "text.", "fusion.free_tokens")  # sci on never reads the free tokens
+    for name in model.store.names():
+        assert model.store.is_frozen(name) == name.startswith(frozen), name
 
 
 def test_gradient_flows_through_frozen_encoder():
@@ -220,6 +231,7 @@ def test_gradient_flows_through_frozen_encoder():
     cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=1,
                         frozen=True)
     store = make_encoder(cfg)
+    store.freeze("enc.")
     readout = Tensor(np.random.default_rng(8).normal(size=(8, 1)),
                      requires_grad=True)
     frame = random_frame(np.random.default_rng(7), 16, 16)
@@ -227,6 +239,6 @@ def test_gradient_flows_through_frozen_encoder():
     def loss():
         seq = patchify_embed(frame, cfg, store, "enc")
         out = encoder_forward(seq, cfg, store, "enc")
-        return ad.sum_all(ad.matmul(ad.mean_rows(out), readout))
+        return ad.sum_all(ad.linear(ad.mean_rows(out), readout, Tensor(np.zeros((1, 1)))))
 
     assert finite_diff_check(loss, [readout], eps=1e-4) < 1e-3

@@ -175,19 +175,25 @@ def test_adamw_skips_frozen_parameters():
     assert np.array_equal(model.store["rgb.patch.w"].data, frozen_before)
 
 
-@pytest.mark.parametrize("bad", ["missing", "misshapen"])
+@pytest.mark.parametrize("bad", ["missing", "misshapen", "nan", "inf"])
 def test_adamw_raises_on_a_trainable_gradient_missing_or_misshapen_and_changes_nothing(bad):
     model, state = tiny_model(), TrainState()
     for _, pt in model.store.trainable_items():
         pt.grad = np.ones_like(pt.data)
     adamw_step(model, state, lr=0.1, cfg=OptimConfig(base_lr=0.1))  # makes the moments
     name, p = model.store.trainable_items()[-1]  # the last one the update would reach
-    p.grad = None if bad == "missing" else np.ones((1, *p.data.shape))
+    if bad in ("nan", "inf"):
+        p.grad.flat[-1] = float(bad)
+        error, message = NumericError, (f"non-finite gradient in the {name.split('.')[0]} "
+                                        f"group ({name})")
+    else:
+        p.grad = None if bad == "missing" else np.ones((1, *p.data.shape))
+        got = "no gradient" if bad == "missing" else f"a gradient of shape {(1, *p.data.shape)}"
+        error, message = ContractError, (f"trainable parameter {name} of shape "
+                                         f"{p.data.shape} has {got}")
     values = {n: t.data.copy() for n, t in model.store.items()}
     moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in state.m}
-    got = "no gradient" if bad == "missing" else f"a gradient of shape {(1, *p.data.shape)}"
-    with pytest.raises(ContractError, match=re.escape(
-            f"trainable parameter {name} of shape {p.data.shape} has {got}")):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         adamw_step(model, state, lr=0.1, cfg=OptimConfig(base_lr=0.1))
     assert state.step == 1 and state.m.keys() == moments.keys()
     assert all(np.array_equal(t.data, values[n]) for n, t in model.store.items())
@@ -464,7 +470,7 @@ def test_train_frees_previous_step_tape_before_next_forward(monkeypatch):
     real_backward, real_head = ad.backward, model.head
 
     def recording_backward(root, grad=None):
-        if grad is None:  # a block's loss, not the text branch's seeded backward
+        if root.shape[-1] == 1:  # a block's (b, 1) losses, not the (L, d) text tokens
             loss_refs.append(weakref.ref(root.data))
         return real_backward(root, grad)
 
@@ -728,8 +734,7 @@ def test_head_rows_bit_equals_per_sample_heads(combo, dtype):
     with model.store.cast(dtype):
         enc = frozen_encodings(model, tiny_dataset()[:6])  # sub-batches of 4 and 2
         ft = model.text_tokens()
-        logits, pooled = head_rows(model, stack_blocks((Tensor(a), Tensor(b)) for a, b in enc),
-                                   ft)
+        logits, pooled = head_rows(model, stack_blocks(enc, dtype), ft)
         rows = [model.head(Tensor(a), Tensor(b), ft) for a, b in enc]
     assert logits.data.dtype == pooled.data.dtype == dtype
     assert logits.shape == (6, len(LABELS)) and pooled.shape == (6, DIM)
@@ -782,8 +787,7 @@ def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
         return real(self, fv, fe, ft)
 
     monkeypatch.setattr(Model, "head", counted)
-    logits, _ = head_rows(model, stack_blocks((Tensor(a), Tensor(b)) for a, b in enc),
-                          model.text_tokens())
+    logits, _ = head_rows(model, stack_blocks(enc, np.float64), model.text_tokens())
     assert logits.shape[0] == n
     assert len(calls) == math.ceil(n / trainer.HEAD_BATCH)
     assert all(b == trainer.HEAD_BATCH for b in calls[:-1])
@@ -792,26 +796,28 @@ def test_head_rows_calls_the_head_once_per_sub_batch(monkeypatch, n):
 def test_head_rows_rejects_encodings_of_different_token_counts():
     model = tiny_model()
     (fv, fe), = frozen_encodings(model, tiny_dataset()[:1])
-    short = (Tensor(fv[1:]), Tensor(fe))
     with pytest.raises(DimensionError, match="vision encodings differ"):
-        head_rows(model, stack_blocks([(Tensor(fv), Tensor(fe)), short]), model.text_tokens())
+        head_rows(model, stack_blocks([(fv, fe), (fv[1:], fe)], np.float64), model.text_tokens())
 
 
 def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
-    # trainable encoders put each sample's encodings on the tape; a sample's
-    # gradient flows through its own rows of the stacked batch only
+    # trainable encoders put a block's (b, T, d) encodings on the tape (the
+    # lvm-off path); a sample's rows of their gradient are its own head's
     model = tiny_model(seed=2)
     enc = frozen_encodings(model, tiny_dataset()[:5])
     weights = np.random.default_rng(0).normal(size=(5, len(LABELS)))
-    pairs = [(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)) for a, b in enc]
-    logits, _ = head_rows(model, stack_blocks(pairs), model.text_tokens())
+    blocks = list(stack_blocks(enc, np.float64))  # blocks of 4 and 1
+    for t in (t for block in blocks for t in block):
+        t.requires_grad = True
+    logits, _ = head_rows(model, blocks, model.text_tokens())
     backward(ad.sum_all(ad.mul(logits, Tensor(weights))))
-    for (fv, fe), w in zip(pairs, weights):
-        one = [Tensor(fv.data, requires_grad=True), Tensor(fe.data, requires_grad=True)]
+    fv_grad, fe_grad = (np.concatenate([block[k].grad for block in blocks]) for k in (0, 1))
+    for i, ((fv, fe), w) in enumerate(zip(enc, weights)):
+        one = [Tensor(fv, requires_grad=True), Tensor(fe, requires_grad=True)]
         row, _ = model.head(*one, model.text_tokens())
         backward(ad.sum_all(ad.mul(row, Tensor(w[None]))))
-        assert fv.grad.tobytes() == one[0].grad.tobytes()
-        assert fe.grad.tobytes() == one[1].grad.tobytes()
+        assert fv_grad[i].tobytes() == one[0].grad.tobytes()
+        assert fe_grad[i].tobytes() == one[1].grad.tobytes()
 
 
 @pytest.mark.parametrize("frozen", [True, False])
@@ -837,7 +843,7 @@ def one_tape_step(model, dataset, idx, cache, state, lr, cfg):
     single backward from the batch-mean loss."""
     model.store.zero_grad()
     if cache is not None:
-        blocks = stack_blocks((Tensor(cache[i][0]), Tensor(cache[i][1])) for i in idx)
+        blocks = stack_blocks([cache[i] for i in idx], trainer.TRAIN_DTYPE)
     else:
         blocks = encode_blocks(model, [dataset[i] for i in idx])
     logits, _ = head_rows(model, blocks, model.text_tokens())
