@@ -8,6 +8,8 @@ ParamStore under a caller-chosen prefix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -61,6 +63,8 @@ def check_stack(dim: int, depth: int, mlp_ratio: float) -> None:
     """A config section's depth >= 0 blocks, each MLP at least one unit wide."""
     if depth < 0:
         raise ContractError(f"depth must be >= 0, got {depth}")
+    if not math.isfinite(dim * mlp_ratio):
+        raise ContractError(f"mlp_ratio {mlp_ratio} gives a non-finite MLP hidden width")
     if (hidden := mlp_hidden(dim, mlp_ratio)) < 1:
         raise ContractError(f"mlp_ratio {mlp_ratio} gives an MLP hidden width {hidden} < 1")
 

@@ -4,7 +4,8 @@ Subcommands: synth-data, train, eval, ablate, sweep-frames,
 sweep-prompts, grad-check, dump-embeddings.
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 IO error,
 4 numeric failure (a NumericError: non-finite values, such as NaN weights in
-a checkpoint).
+a checkpoint, or a DVS threshold so small that a pixel's event count passes
+the int64 range).
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 An event is the quadruple [x, y, t, p]: pixel coordinates, microsecond
 timestamp, and ON/OFF polarity. Streams are kept as column arrays sorted
 by timestamp (stable in input order on ties).
+
+Synthesis and counting work on whole clips, with no loop per pixel or per
+event: the renderer builds every frame's shape mask in one array, the DVS
+simulator takes the log-luminance deltas of all frame pairs at once, and
+event_counts bins a stream with one bincount.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ContractError, NumericError, ParseError, ValidationError
 
 ON = 1
 OFF = 0
@@ -169,13 +174,10 @@ def event_counts(stream: EventStream, clip_timestamps, resolution) -> np.ndarray
     if ts.size > 1 and np.any(np.diff(ts) <= 0):
         raise ContractError("clip_timestamps must be strictly increasing")
     w, h = resolution
-    counts = np.zeros((ts.size, 2, h, w), dtype=np.int64)
-    if len(stream):
-        j = np.searchsorted(ts, stream.t, side="right") - 1
-        j = np.clip(j, 0, ts.size - 1)
-        chan = np.where(stream.p == ON, 0, 1)
-        np.add.at(counts, (j, chan, stream.y, stream.x), 1)
-    return counts
+    j = np.clip(np.searchsorted(ts, stream.t, side="right") - 1, 0, ts.size - 1)
+    chan = np.where(stream.p == ON, 0, 1)
+    flat = ((j * 2 + chan) * h + stream.y) * w + stream.x
+    return np.bincount(flat, minlength=ts.size * 2 * h * w).reshape(ts.size, 2, h, w)
 
 
 def stack_events(stream: EventStream, clip_timestamps, resolution) -> EventFrameSequence:
@@ -193,44 +195,50 @@ def stack_events(stream: EventStream, clip_timestamps, resolution) -> EventFrame
 # DVS simulation
 # ---------------------------------------------------------------------------
 
-def _log_luminance(frame: np.ndarray) -> np.ndarray:
-    return np.log(frame.mean(axis=2) + 1e-3)
-
-
 def _event_count_for_delta(delta: np.ndarray, threshold: float) -> np.ndarray:
     # snap near-integer ratios up so an exact k*threshold change yields k
     # events despite float rounding
-    ratio = np.abs(delta) / threshold
+    with np.errstate(over="ignore"):  # an infinite ratio fails the check below
+        ratio = np.abs(delta) / threshold
+    if not (peak := ratio.max(initial=0.0)) < 2.0**63:  # also false for NaN
+        raise NumericError(f"DVS threshold {threshold:g} gives a per-pixel event count "
+                           f"of {peak:g}, past the int64 range")
     near = np.ceil(ratio) - ratio < 1e-9
     return np.where(near, np.ceil(ratio), np.floor(ratio)).astype(np.int64)
 
 
 def simulate_dvs(clip: VideoClip, threshold: float) -> EventStream:
     """Emit floor(|delta log-luminance| / threshold) events per pixel per
-    consecutive frame pair, timestamps interpolated at threshold crossings."""
+    consecutive frame pair, timestamps interpolated at threshold crossings.
+    All frame pairs are handled at once."""
     if threshold <= 0:
         raise ContractError("threshold must be positive")
     if len(clip) < 2:
         raise ContractError("simulate_dvs needs at least 2 frames")
     h, w = clip.frames[0].shape[:2]
-    parts = []
-    prev_log = _log_luminance(clip.frames[0])
-    for i in range(1, len(clip)):
-        cur_log = _log_luminance(clip.frames[i])
-        delta = cur_log - prev_log
-        n = _event_count_for_delta(delta, threshold)
-        yy, xx = np.nonzero(n)
-        cnt = n[yy, xx]
-        d = delta[yy, xx]
-        # one entry per event, pixels in row-major order; k counts 1..cnt
-        pix = np.repeat(np.arange(cnt.size), cnt)
-        k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        t0, t1 = clip.timestamps[i - 1], clip.timestamps[i]
-        frac = k * threshold / np.abs(d)[pix]
-        parts.append((xx[pix], yy[pix], (t0 + frac * (t1 - t0)).astype(np.int64),
-                      np.where(d > 0, ON, OFF)[pix]))
-        prev_log = cur_log
-    stream = EventStream((w, h), *(np.concatenate(c) for c in zip(*parts)))
+    # log luminance of every frame; ((r + g) + b) / 3 sums in the order of
+    # frame.mean(axis=2), so the events keep their bits
+    log_lum = np.empty((len(clip), h, w))
+    for plane, frame in zip(log_lum, clip.frames):
+        np.add(frame[..., 0], frame[..., 1], out=plane)
+        plane += frame[..., 2]
+    log_lum /= 3
+    log_lum += 1e-3
+    np.log(log_lum, out=log_lum)
+    delta = log_lum[1:] - log_lum[:-1]
+    n = _event_count_for_delta(delta, threshold)
+    # changed pixels in pair-major, row-major order
+    pair, yy, xx = np.nonzero(n)
+    cnt = n[pair, yy, xx]
+    d = delta[pair, yy, xx]
+    # one entry per event; k counts a pixel's events 1..cnt
+    pix = np.repeat(np.arange(cnt.size), cnt)
+    k = np.arange(1, pix.size + 1) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    ev_pair = pair[pix]
+    t0, span = clip.timestamps[ev_pair], np.diff(clip.timestamps)[ev_pair]
+    frac = k * threshold / np.abs(d)[pix]
+    stream = EventStream((w, h), xx[pix], yy[pix], (t0 + frac * span).astype(np.int64),
+                         np.where(d > 0, ON, OFF)[pix])
     return stream.sorted_by_time()
 
 
@@ -290,19 +298,6 @@ class Sample:
     sample_id: str = ""
 
 
-def _draw_shape(canvas: np.ndarray, shape: str, cx: float, cy: float,
-                size: float, color: tuple[float, float, float]) -> None:
-    h, w = canvas.shape[:2]
-    yy, xx = np.mgrid[0:h, 0:w]
-    if shape == "square":
-        mask = (np.abs(xx - cx) <= size) & (np.abs(yy - cy) <= size)
-    elif shape == "disc":
-        mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= size**2
-    else:  # bar: tall thin rectangle
-        mask = (np.abs(xx - cx) <= size / 2) & (np.abs(yy - cy) <= 2 * size)
-    canvas[mask] = color
-
-
 def render_motion_clip(cls: MotionClass, spec: SynthSpec,
                        rng: np.random.Generator) -> VideoClip:
     """Render the fine-grained (oversampled) clip for one sample."""
@@ -317,12 +312,20 @@ def render_motion_clip(cls: MotionClass, spec: SynthSpec,
     base = _SHAPE_COLORS[cls.shape]
     tint = rng.uniform(-0.04, 0.04)
     color = tuple(float(np.clip(c + tint, 0.0, 1.0)) for c in base)
+    # every frame's shape mask at once, (k, h, w), from its column and row offsets
+    frac = np.arange(k) / (k - 1)
+    ox = np.arange(w) - (cx0 + dx * travel * frac)[:, None, None]
+    oy = np.arange(h)[:, None] - (cy0 + dy * travel * frac)[:, None, None]
+    if cls.shape == "square":
+        masks = (np.abs(ox) <= size) & (np.abs(oy) <= size)
+    elif cls.shape == "disc":
+        masks = ox**2 + oy**2 <= size**2
+    else:  # bar: tall thin rectangle
+        masks = (np.abs(ox) <= size / 2) & (np.abs(oy) <= 2 * size)
     frames = []
-    for i in range(k):
-        frac = i / (k - 1)
+    for mask in masks:
         canvas = np.full((h, w, 3), 0.12)
-        _draw_shape(canvas, cls.shape, cx0 + dx * travel * frac,
-                    cy0 + dy * travel * frac, size, color)
+        canvas[mask] = color
         frames.append(canvas)
     timestamps = np.arange(k, dtype=np.int64) * dt
     return VideoClip(frames, timestamps)

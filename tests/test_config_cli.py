@@ -753,6 +753,24 @@ def test_cli_removed_activation_key_is_config_error(tmp_path, capsys, section):
     assert err.startswith(f"config error: {section}: ") and "activation" in err
 
 
+@pytest.mark.parametrize("section", ["rgb_encoder", "event_encoder", "text", "fusion"])
+def test_cli_overflowing_mlp_width_is_a_config_error(tmp_path, capsys, section):
+    path = write_tiny(tmp_path, **{section: {**TINY[section], "mlp_ratio": 1e308}})
+    assert run_cli(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {section}: mlp_ratio 1e+308 gives a non-finite MLP hidden width\n")
+
+
+@pytest.mark.parametrize("command", ["synth-data", "train"])
+def test_cli_dvs_threshold_past_int64_counts_is_a_numeric_failure(tmp_path, capsys, command):
+    path = write_tiny(tmp_path, data={**TINY["data"], "dvs_threshold": 1e-300},
+                      out_dir=str(tmp_path / "out"))
+    assert run_cli([command, "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: DVS threshold 1e-300 gives a per-pixel event count")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
 def test_cli_eval_missing_checkpoint_is_io_error(tmp_path, monkeypatch, capsys, command):
     path = write_tiny(tmp_path, out_dir=str(tmp_path / "out"))

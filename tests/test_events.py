@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evfusion.errors import ContractError, ParseError, ValidationError
-from evfusion.events import (EventStream, MotionClass, SynthSpec, VideoClip,
-                             event_counts, parse_events_csv,
-                             parse_events_binary, simulate_dvs, stack_events,
+from evfusion.errors import ContractError, NumericError, ParseError, ValidationError
+from evfusion.events import (DIRECTIONS, SHAPES, EventStream, MotionClass,
+                             SynthSpec, VideoClip, event_counts,
+                             parse_events_csv, parse_events_binary,
+                             render_motion_clip, simulate_dvs, stack_events,
                              synth_dataset, write_events_binary,
                              write_events_csv)
 
@@ -318,6 +319,34 @@ def test_stack_empty_timestamps_rejected():
         stack_events(EventStream((4, 4)), [], (4, 4))
 
 
+def reference_event_counts(stream, clip_timestamps, resolution):
+    """The np.add.at scatter event_counts replaced, kept as its reference."""
+    ts = np.asarray(clip_timestamps, dtype=np.int64)
+    w, h = resolution
+    counts = np.zeros((ts.size, 2, h, w), dtype=np.int64)
+    if len(stream):
+        j = np.clip(np.searchsorted(ts, stream.t, side="right") - 1, 0, ts.size - 1)
+        np.add.at(counts, (j, np.where(stream.p == 1, 0, 1), stream.y, stream.x), 1)
+    return counts
+
+
+@pytest.mark.parametrize("resolution,n", [((4, 4), 0), ((7, 3), 1), ((7, 3), 900),
+                                          ((3, 11), 2000), ((1, 1), 50)])
+def test_event_counts_match_add_at_reference(resolution, n):
+    rng = np.random.default_rng(n)
+    # timestamps reach before the first and past the last clip timestamp
+    stream = random_stream(rng, n, resolution=resolution, t_max=120_000)
+    ts = [10_000, 40_000, 70_000, 100_000]
+    got = event_counts(stream, ts, resolution)
+    want = reference_event_counts(stream, ts, resolution)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == (4, 2, resolution[1], resolution[0])
+    assert np.array_equal(got, want)
+    if n >= 900:
+        assert stream.t.min() < ts[0] and stream.t.max() > ts[-1]
+        assert got[:, 0].sum() > 0 and got[:, 1].sum() > 0  # both polarities
+
+
 # -- DVS simulation ---------------------------------------------------------
 
 def constant_clip(value, n_frames=4, size=4):
@@ -439,6 +468,33 @@ def test_simulate_dvs_matches_per_pixel_reference():
     assert polarities == {0, 1}
 
 
+def test_simulate_dvs_matches_reference_on_a_rendered_clip():
+    spec = desk_spec(n_frames=3, oversample=4)
+    rng = np.random.default_rng(5)
+    for cls in spec.classes:
+        clip = render_motion_clip(cls, spec, rng)
+        assert len(clip) == 12
+        got = simulate_dvs(clip, spec.dvs_threshold)
+        assert len(got) > 0
+        assert_streams_identical(got, reference_simulate_dvs(clip, spec.dvs_threshold))
+
+
+@pytest.mark.parametrize("threshold", [1e-300, 1e-320])
+def test_simulate_dvs_count_past_int64_is_a_numeric_error(threshold):
+    clip = VideoClip([np.full((2, 2, 3), v) for v in (0.1, 0.9)], [0, 1000])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="past the int64 range"):
+            simulate_dvs(clip, threshold)
+
+
+def test_simulate_dvs_of_a_nan_frame_is_a_numeric_error():
+    f1 = np.full((2, 2, 3), 0.5)
+    f1[0, 1, 2] = np.nan
+    with pytest.raises(NumericError):
+        simulate_dvs(VideoClip([np.full((2, 2, 3), 0.5), f1], [0, 1000]), 0.1)
+
+
 def test_simulate_dvs_matches_reference_on_1x1_and_constant_clips():
     one = VideoClip([np.full((1, 1, 3), v) for v in (0.1, 0.9, 0.2, 0.2)],
                     [0, 10, 25, 40])
@@ -506,3 +562,59 @@ def test_synth_static_rgb_frames_identical_across_classes():
         for f in s.clip.frames:
             assert np.array_equal(f, ref)
         assert len(s.events) > 0  # events keep the motion signal
+
+
+def reference_render_motion_clip(cls, spec, rng):
+    """The per-frame _draw_shape loop render_motion_clip replaced, kept as
+    its reference."""
+    w, h = spec.resolution
+    k = max(2, spec.n_frames * spec.oversample)
+    dt = spec.frame_interval_us // spec.oversample
+    size = min(w, h) / 6.0 + rng.uniform(-0.5, 0.5)
+    dx, dy = {"left": (-1.0, 0.0), "right": (1.0, 0.0),
+              "up": (0.0, -1.0), "down": (0.0, 1.0)}[cls.direction]
+    travel = min(w, h) * 0.5
+    cx0 = w / 2.0 - dx * travel / 2.0 + rng.uniform(-2.0, 2.0)
+    cy0 = h / 2.0 - dy * travel / 2.0 + rng.uniform(-2.0, 2.0)
+    base = {"square": (0.95, 0.35, 0.25), "disc": (0.30, 0.90, 0.35),
+            "bar": (0.30, 0.40, 0.95)}[cls.shape]
+    tint = rng.uniform(-0.04, 0.04)
+    color = tuple(float(np.clip(c + tint, 0.0, 1.0)) for c in base)
+
+    def draw_shape(canvas, cx, cy):
+        yy, xx = np.mgrid[0:h, 0:w]
+        if cls.shape == "square":
+            mask = (np.abs(xx - cx) <= size) & (np.abs(yy - cy) <= size)
+        elif cls.shape == "disc":
+            mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= size**2
+        else:
+            mask = (np.abs(xx - cx) <= size / 2) & (np.abs(yy - cy) <= 2 * size)
+        canvas[mask] = color
+
+    frames = []
+    for i in range(k):
+        frac = i / (k - 1)
+        canvas = np.full((h, w, 3), 0.12)
+        draw_shape(canvas, cx0 + dx * travel * frac, cy0 + dy * travel * frac)
+        frames.append(canvas)
+    return VideoClip(frames, np.arange(k, dtype=np.int64) * dt)
+
+
+@pytest.mark.parametrize("resolution", [(32, 32), (20, 14), (1, 1)])
+@pytest.mark.parametrize("oversample", [1, 4])
+def test_render_motion_clip_matches_per_frame_reference(resolution, oversample):
+    for seed, (shape, direction) in enumerate(
+            (s, d) for s in SHAPES for d in DIRECTIONS):
+        cls = MotionClass(f"{shape} {direction}", shape, direction)
+        spec = desk_spec(resolution=resolution, oversample=oversample)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = render_motion_clip(cls, spec, got_rng)
+        want = reference_render_motion_clip(cls, spec, want_rng)
+        assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        assert len(got.frames) == len(want.frames) == 3 * oversample
+        for g, r in zip(got.frames, want.frames):
+            assert g.dtype == r.dtype == np.float64 and g.shape == r.shape
+            assert g.tobytes() == r.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if min(resolution) > 1:
+            assert any(np.any(f != 0.12) for f in got.frames)  # a shape was drawn
