@@ -5,14 +5,17 @@ axes: the last two are rows and columns. The operands fix the dtype: each
 primitive computes and allocates in the dtype of its inputs, so float64 in
 gives float64 out, and a leaf's ``.grad`` is float64 whatever the dtype of
 the graph. ``linear``, ``add``, ``layer_norm``, ``concat_rows``,
-``slice_rows``, ``mean_rows``, ``reshape``, ``scaled_dot_attention`` and the
-elementwise ops also take leading batch axes (the frames of a clip, the
-samples of a batch); ``cross_entropy_rows``, the loss as one node, is 2-D, and
-so is ``take_rows``' table, whose indices may have any shape. Every
-differentiable operation records its parents and a backward closure on the
-output, forming an acyclic define-by-run tape, except inside ``no_grad``.
-``backward`` visits each node reachable from its root once, in decreasing
-creation order, and accumulates gradients into ``Tensor.grad`` of the leaves.
+``slice_rows``, ``mean_rows``, ``reshape``, ``scaled_dot_attention`` and
+``gelu`` also take leading batch axes (the frames of a clip, the samples of a
+batch); ``cross_entropy_rows``, the loss as one node, is 2-D, and so is
+``take_rows``' table, whose indices may have any shape. Every differentiable
+operation records its parents and a backward closure on the output, forming an
+acyclic define-by-run tape, except inside ``no_grad``. ``backward`` visits
+each node reachable from its root once, in decreasing creation order, and
+accumulates gradients into ``Tensor.grad`` of the leaves; a seed of root's
+shape makes it differentiate sum(root * seed). ``finite_diff_check`` checks a
+non-scalar output the same way: through a weighted sum of it and the seeded
+backward.
 
 Ownership rule: a primitive writes (``out=``, ``+=``, ``*=``) only into
 arrays it allocated itself. It never writes into its inputs, the upstream
@@ -170,17 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         return g, _sum_to(g, b.shape)
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data * b.data
-
-    def backward(g):
-        return g * b.data, g * a.data
 
     return _make(data, (a, b), backward)
 
@@ -363,15 +355,6 @@ def mean_rows(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    data = np.array([[a.data.sum()]], dtype=a.data.dtype)
-
-    def backward(g):
-        return (np.full_like(a.data, g[0, 0]),)
-
-    return _make(data, (a,), backward)
-
-
 def take_rows(table: Tensor, indices) -> Tensor:
     """Gather rows of a 2-D table (embedding lookup): an index array of shape
     S gives S + (n,), so (k,) indices give a (k, n) matrix and (G, k) ones a
@@ -453,11 +436,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
 def backward(root: Tensor, grad: np.ndarray | None = None) -> dict[int, np.ndarray]:
     """Reverse-sweep from root, visiting nodes in decreasing creation order.
 
-    grad is the seed: the gradient of the quantity being differentiated
-    with respect to root, of root's shape. A scalar root (a loss) may omit
-    it and is seeded with one; so backward(root, g) gives exactly the
-    gradients of backward(sum_all(mul(root, Tensor(g)))). The sweep never
-    writes into grad.
+    grad is the seed, of root's shape: backward(root, grad) gives the
+    gradients of sum(root * grad), reverse mode's vector-Jacobian product.
+    A scalar root (a loss) may omit it and is seeded with one. The sweep
+    never writes into grad.
 
     Accumulates into .grad of every leaf (requires_grad tensor with no
     backward rule) reachable from root and returns {node_id: gradient}
@@ -514,23 +496,34 @@ def backward(root: Tensor, grad: np.ndarray | None = None) -> dict[int, np.ndarr
 
 def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
                       eps: float = 1e-5, rng: np.random.Generator | None = None,
-                      max_coords_per_param: int = 8) -> float:
-    """Compare analytic gradients of scalar f() against central differences.
+                      max_coords_per_param: int = 8, *,
+                      weights: np.ndarray | None = None) -> float:
+    """Compare analytic gradients of a scalar function of f() against
+    central differences.
+
+    Without weights the scalar is f() itself, which must have one element.
+    With weights, of f()'s shape, it is sum(f() * weights): the numeric side
+    forms that sum in numpy, the analytic side is the seeded
+    backward(f(), weights), so a non-scalar output is checked through a
+    weighted sum with no extra tape node. Weights of another shape raise
+    ContractError before any parameter is perturbed.
 
     Returns the max over sampled coordinates of
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     if not (0.0 < eps <= 1e-2):
         raise ContractError(f"finite_diff_check: eps {eps} outside (0, 1e-2]")
-    base1 = float(f().data.reshape(()))
-    base2 = float(f().data.reshape(()))
-    if base1 != base2:
-        raise ContractError("finite_diff_check: f is not deterministic")
+
+    def value(out: Tensor) -> float:
+        return float(out.data.reshape(()) if weights is None
+                     else np.sum(out.data * weights))
 
     for p in params:
         p.zero_grad()
-    loss = f()
-    backward(loss)
+    root = f()
+    backward(root, weights)
+    if value(root) != value(f()):
+        raise ContractError("finite_diff_check: f is not deterministic")
     rng = rng or np.random.default_rng(0)
 
     worst = 0.0
@@ -545,9 +538,9 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
         for c in coords:
             orig = flat[c]
             flat[c] = orig + eps
-            fp = float(f().data.reshape(()))
+            fp = value(f())
             flat[c] = orig - eps
-            fm = float(f().data.reshape(()))
+            fm = value(f())
             flat[c] = orig
             numeric = (fp - fm) / (2.0 * eps)
             analytic = gflat[c]

@@ -67,14 +67,15 @@ def _load(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _create(path: Path) -> Path:
+    """path, once its directory exists: a command makes its output directory
+    with the first file it writes, so a command that fails first makes none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _checkpoint_path(args, cfg: RunConfig) -> Path:
-    return Path(args.checkpoint) if args.checkpoint else _out_dir(cfg) / "model.ckpt"
+    return Path(args.checkpoint) if args.checkpoint else Path(cfg.out_dir) / "model.ckpt"
 
 
 def _model_section(cfg: RunConfig) -> dict:
@@ -87,7 +88,7 @@ def _model_section(cfg: RunConfig) -> dict:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _create(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _split_samples(cfg: RunConfig, split: str) -> list[Sample]:
@@ -116,7 +117,7 @@ def _train_and_eval(cfg: RunConfig, datasets: tuple[list[Sample], list[Sample]],
 
 def cmd_synth_data(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     train_set, eval_set = make_datasets(cfg)
     data_files.write_dataset(train_set, cfg.labels, out,
                              event_format=args.event_format, split="train")
@@ -129,12 +130,12 @@ def cmd_synth_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     model, log, metrics = _train_and_eval(cfg, make_datasets(cfg), EncodingMemo())
-    with (out / "metrics.jsonl").open("w") as fh:
+    with _create(out / "metrics.jsonl").open("w") as fh:
         for record in log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    model.store.save(_checkpoint_path(args, cfg), model=_model_section(cfg))
+    model.store.save(_create(_checkpoint_path(args, cfg)), model=_model_section(cfg))
     _write_json(out / "config.json", config_to_dict(cfg))
     _write_json(out / "final_metrics.json",
                 {k: metrics[k] for k in ("top1", "top5", "per_class_accuracy")})
@@ -144,7 +145,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg), model=_model_section(cfg))
     metrics = evaluate(_split_samples(cfg, "eval"), model)
@@ -158,7 +159,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
     memo = EncodingMemo()
     seed_cfgs = []
     for r in range(args.seeds):
@@ -183,7 +183,7 @@ def cmd_ablate(args) -> int:
         })
         tag = " ".join(f"{k}={'on' if v else 'off'}" for k, v in pattern.items())
         print(f"{tag}: top1 {rows[-1]['mean']:.4f} +/- {rows[-1]['sd']:.4f}")
-    _write_json(out / "ablation.json", rows)
+    _write_json(Path(cfg.out_dir) / "ablation.json", rows)
     return EXIT_OK
 
 
@@ -193,7 +193,6 @@ def cmd_sweep_frames(args) -> int:
     for row_cfg, n in zip(row_cfgs, args.frame_counts):
         row_cfg.data.frames = n
         validate(row_cfg)  # every row before the first one trains
-    out = _out_dir(cfg)
     memo = EncodingMemo()
     rows = []
     for row_cfg in row_cfgs:
@@ -209,7 +208,7 @@ def cmd_sweep_frames(args) -> int:
         })
         print(f"frames={n}: eval_top1={metrics['top1']:.4f} "
               f"token_axis_len={rows[-1]['token_axis_len']}")
-    _write_json(out / "sweep_frames.json", rows)
+    _write_json(Path(cfg.out_dir) / "sweep_frames.json", rows)
     return EXIT_OK
 
 
@@ -219,7 +218,6 @@ def cmd_sweep_prompts(args) -> int:
     for row_cfg, tpl in zip(row_cfgs, args.templates):
         row_cfg.template = tpl
         validate(row_cfg)  # every row before the first one trains
-    out = _out_dir(cfg)
     memo = EncodingMemo()
     datasets = make_datasets(cfg)  # the template does not enter the data
     rows = []
@@ -232,7 +230,7 @@ def cmd_sweep_prompts(args) -> int:
             "eval_top1": metrics["top1"],
         })
         print(f"template={tpl!r}: eval_top1={metrics['top1']:.4f}")
-    _write_json(out / "sweep_prompts.json", rows)
+    _write_json(Path(cfg.out_dir) / "sweep_prompts.json", rows)
     return EXIT_OK
 
 
@@ -246,9 +244,7 @@ def cmd_grad_check(args) -> int:
     print(f"{status} end_to_end ({len(report['checked_parameters'])} parameters): "
           f"max rel error {e2e:.3e}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "gradcheck.json", report)
+        _write_json(Path(args.out) / "gradcheck.json", report)
     if not report["passed"]:
         print("offending groups: " + ", ".join(report["failures"]), file=sys.stderr)
         return EXIT_VERIFICATION
@@ -258,15 +254,14 @@ def cmd_grad_check(args) -> int:
 @ad.no_grad()
 def cmd_dump_embeddings(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg)
     model = Model(cfg.model_config(), seed=cfg.seed)
     model.store.load(_checkpoint_path(args, cfg), model=_model_section(cfg))
     dataset = _split_samples(cfg, args.split)
     _, pooled = classify_rows(model, dataset)
     if not np.all(np.isfinite(pooled)):
         raise NumericError("dump-embeddings: non-finite pooled features")
-    path = out / f"embeddings_{args.split}.csv"
-    with path.open("w", newline="") as fh:
+    path = Path(cfg.out_dir) / f"embeddings_{args.split}.csv"
+    with _create(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "label"] + [f"f{i}" for i in range(cfg.fusion.dim)])
         for sample, row in zip(dataset, pooled.tolist()):

@@ -119,6 +119,9 @@ def read_sample(directory: str | Path) -> Sample:
         events = parse_events_csv(events_path, tuple(resolution))
     else:
         events = parse_events_binary(events_path)
+        if events.resolution != tuple(resolution):
+            raise ValidationError(f"{events_path}: header resolution {events.resolution}, "
+                                  f"the manifest says {tuple(resolution)}")
     if len(events) != n_events:
         raise ValidationError(f"{directory}: {len(events)} events, the manifest says {n_events}")
     return Sample(clip, events, label, sample_id)

@@ -21,10 +21,6 @@ def _rand(rng, *shape):
     return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
 
 
-def _weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
-    return ad.sum_all(ad.mul(x, Tensor(w)))
-
-
 def primitive_checks(seed: int = 0) -> dict[str, float]:
     """Max relative finite-difference error for every differentiable
     primitive on random inputs in [-1, 1]; the `_3d` entries give the
@@ -37,90 +33,80 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     x, y = _rand(rng, 3, 4), _rand(rng, 3, 4)
     w = rng.uniform(-1, 1, (3, 4))
     results["add"] = finite_diff_check(
-        lambda: _weighted_sum(ad.add(x, y), w), [x, y], PRIMITIVE_EPS)
-    results["mul"] = finite_diff_check(
-        lambda: _weighted_sum(ad.mul(x, y), w), [x, y], PRIMITIVE_EPS)
+        lambda: ad.add(x, y), [x, y], PRIMITIVE_EPS, weights=w)
 
     row = Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
     results["add_row_broadcast"] = finite_diff_check(
-        lambda: _weighted_sum(ad.add(x, row), w), [x, row], PRIMITIVE_EPS)
+        lambda: ad.add(x, row), [x, row], PRIMITIVE_EPS, weights=w)
 
     results["gelu"] = finite_diff_check(
-        lambda: _weighted_sum(ad.gelu(x), w), [x], PRIMITIVE_EPS)
+        lambda: ad.gelu(x), [x], PRIMITIVE_EPS, weights=w)
 
     w1 = rng.uniform(-1, 1, (3, 1))
     results["cross_entropy_rows"] = finite_diff_check(
-        lambda: _weighted_sum(ad.cross_entropy_rows(x, np.array([3, 0, 3])), w1), [x],
-        PRIMITIVE_EPS)
+        lambda: ad.cross_entropy_rows(x, np.array([3, 0, 3])), [x], PRIMITIVE_EPS,
+        weights=w1)
 
     gain = Tensor(rng.uniform(0.5, 1.5, (1, 4)), requires_grad=True)
     bias = _rand(rng, 1, 4)
     results["layer_norm"] = finite_diff_check(
-        lambda: _weighted_sum(ad.layer_norm(x, gain, bias), w),
-        [x, gain, bias], PRIMITIVE_EPS)
+        lambda: ad.layer_norm(x, gain, bias), [x, gain, bias], PRIMITIVE_EPS, weights=w)
 
     w6 = rng.uniform(-1, 1, (6, 4))
     results["concat_rows"] = finite_diff_check(
-        lambda: _weighted_sum(ad.concat_rows(x, y), w6), [x, y], PRIMITIVE_EPS)
+        lambda: ad.concat_rows(x, y), [x, y], PRIMITIVE_EPS, weights=w6)
     results["slice_rows"] = finite_diff_check(
-        lambda: _weighted_sum(ad.slice_rows(x, 1, 3), w[:2]), [x], PRIMITIVE_EPS)
+        lambda: ad.slice_rows(x, 1, 3), [x], PRIMITIVE_EPS, weights=w[:2])
 
     results["mean_rows"] = finite_diff_check(
-        lambda: _weighted_sum(ad.mean_rows(x), w[:1]), [x], PRIMITIVE_EPS)
-    results["sum_all"] = finite_diff_check(
-        lambda: ad.sum_all(ad.mul(x, x)), [x], PRIMITIVE_EPS)
+        lambda: ad.mean_rows(x), [x], PRIMITIVE_EPS, weights=w[:1])
 
     table = _rand(rng, 5, 4)
     results["take_rows"] = finite_diff_check(
-        lambda: _weighted_sum(ad.take_rows(table, [0, 2, 2]), w), [table],
-        PRIMITIVE_EPS)
+        lambda: ad.take_rows(table, [0, 2, 2]), [table], PRIMITIVE_EPS, weights=w)
 
     q, k, v = _rand(rng, 2, 4), _rand(rng, 3, 4), _rand(rng, 3, 5)
     wq = rng.uniform(-1, 1, (2, 5))
     results["scaled_dot_attention"] = finite_diff_check(
-        lambda: _weighted_sum(ad.scaled_dot_attention(q, k, v), wq),
-        [q, k, v], PRIMITIVE_EPS)
+        lambda: ad.scaled_dot_attention(q, k, v), [q, k, v], PRIMITIVE_EPS, weights=wq)
     q4, k4, v4 = _rand(rng, 3, 8), _rand(rng, 5, 8), _rand(rng, 5, 12)
     w4 = rng.uniform(-1, 1, (3, 12))
     results["scaled_dot_attention_4_heads"] = finite_diff_check(
-        lambda: _weighted_sum(ad.scaled_dot_attention(q4, k4, v4, heads=4), w4),
-        [q4, k4, v4], PRIMITIVE_EPS)
+        lambda: ad.scaled_dot_attention(q4, k4, v4, heads=4), [q4, k4, v4], PRIMITIVE_EPS,
+        weights=w4)
 
     lw, lb = _rand(rng, 4, 2), _rand(rng, 1, 2)
     results["linear"] = finite_diff_check(
-        lambda: _weighted_sum(ad.linear(x, lw, lb), w[:, :2]), [x, lw, lb], PRIMITIVE_EPS)
+        lambda: ad.linear(x, lw, lb), [x, lw, lb], PRIMITIVE_EPS, weights=w[:, :2])
 
     x3, table3, w3 = _rand(rng, 2, 3, 4), _rand(rng, 3, 4), rng.uniform(-1, 1, (2, 3, 4))
     results["linear_3d"] = finite_diff_check(
-        lambda: _weighted_sum(ad.linear(x3, lw, lb), w3[..., :2]), [x3, lw, lb],
-        PRIMITIVE_EPS)
+        lambda: ad.linear(x3, lw, lb), [x3, lw, lb], PRIMITIVE_EPS, weights=w3[..., :2])
     results["add_3d_broadcast"] = finite_diff_check(
-        lambda: _weighted_sum(ad.add(ad.add(x3, table3), row), w3), [x3, table3, row],
-        PRIMITIVE_EPS)
+        lambda: ad.add(ad.add(x3, table3), row), [x3, table3, row], PRIMITIVE_EPS,
+        weights=w3)
     results["layer_norm_3d"] = finite_diff_check(
-        lambda: _weighted_sum(ad.layer_norm(x3, gain, bias), w3),
-        [x3, gain, bias], PRIMITIVE_EPS)
+        lambda: ad.layer_norm(x3, gain, bias), [x3, gain, bias], PRIMITIVE_EPS, weights=w3)
     w7 = rng.uniform(-1, 1, (2, 7, 4))
     results["concat_rows_3d_broadcast"] = finite_diff_check(
-        lambda: _weighted_sum(ad.concat_rows(row, x3, y), w7), [row, x3, y], PRIMITIVE_EPS)
+        lambda: ad.concat_rows(row, x3, y), [row, x3, y], PRIMITIVE_EPS, weights=w7)
     results["reshape"] = finite_diff_check(
-        lambda: _weighted_sum(ad.reshape(x3, (6, 4)), w3.reshape(6, 4)), [x3],
-        PRIMITIVE_EPS)
+        lambda: ad.reshape(x3, (6, 4)), [x3], PRIMITIVE_EPS, weights=w3.reshape(6, 4))
     q3, k3, v3 = _rand(rng, 2, 3, 8), _rand(rng, 2, 5, 8), _rand(rng, 2, 5, 12)
     w43 = rng.uniform(-1, 1, (2, 3, 12))
     results["scaled_dot_attention_3d_4_heads"] = finite_diff_check(
-        lambda: _weighted_sum(ad.scaled_dot_attention(q3, k3, v3, heads=4), w43),
-        [q3, k3, v3], PRIMITIVE_EPS)
+        lambda: ad.scaled_dot_attention(q3, k3, v3, heads=4), [q3, k3, v3], PRIMITIVE_EPS,
+        weights=w43)
     results["slice_rows_3d"] = finite_diff_check(
-        lambda: _weighted_sum(ad.slice_rows(x3, 1, 3), w3[:, :2]), [x3], PRIMITIVE_EPS)
+        lambda: ad.slice_rows(x3, 1, 3), [x3], PRIMITIVE_EPS, weights=w3[:, :2])
     results["mean_rows_3d"] = finite_diff_check(
-        lambda: _weighted_sum(ad.mean_rows(x3), w3[:, :1]), [x3], PRIMITIVE_EPS)
+        lambda: ad.mean_rows(x3), [x3], PRIMITIVE_EPS, weights=w3[:, :1])
     results["scaled_dot_attention_broadcast_q"] = finite_diff_check(
-        lambda: _weighted_sum(ad.scaled_dot_attention(q4, k3, v3, heads=4), w43),
-        [q4, k3, v3], PRIMITIVE_EPS)
+        lambda: ad.scaled_dot_attention(q4, k3, v3, heads=4), [q4, k3, v3], PRIMITIVE_EPS,
+        weights=w43)
     results["take_rows_2d"] = finite_diff_check(
-        lambda: _weighted_sum(ad.take_rows(table, [[4, 0, 2], [2, 2, 1]]), w3),
-        [table], PRIMITIVE_EPS)
+        lambda: ad.take_rows(table, [[4, 0, 2], [2, 2, 1]]), [table], PRIMITIVE_EPS,
+        weights=w3)
     return results
 
 

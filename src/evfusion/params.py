@@ -3,8 +3,9 @@
 Checkpoint format: a flat file of little-endian float64 values plus a
 JSON sidecar manifest mapping each parameter name to its shape and
 element offset into the flat file. Save/load is bit-exact; loading takes
-only a sidecar whose dtype is "<f8" and whose counts, shapes and offsets
-are JSON integers. A checkpoint holds values only: which parameters are
+only a sidecar whose dtype is "<f8", whose counts, shapes and offsets
+are JSON integers, and whose parameters' ranges [offset, offset + size)
+tile the values exactly, in any order. A checkpoint holds values only: which parameters are
 frozen is set by the config. The sidecar may also carry a ``model`` section,
 the settings the values were trained under, which a load can be asked to
 match.
@@ -179,9 +180,17 @@ class ParamStore:
                 f"checkpoint {path} does not match the model: missing {missing}, "
                 f"extra {extra}, shape mismatch {reshaped}")
         flat = np.frombuffer(raw, dtype="<f8")
-        for name, (_, offset) in metas.items():
-            if not 0 <= offset <= flat.size - self._params[name].data.size:
-                raise ParseError(f"checkpoint {path}: {name!r} lies outside the values")
+        # the ranges [offset, offset + size) tile the values, as save writes them
+        end, last = 0, None
+        for offset, size, name in sorted((offset, self._params[name].data.size, name)
+                                         for name, (_, offset) in metas.items()):
+            if offset != end:
+                raise ParseError(f"checkpoint {path}: {name!r} starts at value {offset}, "
+                                 f"not {end}: the parameters overlap or skip values")
+            end, last = end + size, name
+        if end != flat.size:
+            raise ParseError(f"checkpoint {path}: no parameter reads values {end} to "
+                             f"{flat.size}, after {last!r}")
         for name, (shape, offset) in metas.items():
             t = self._params[name]
             t.data = flat[offset:offset + t.data.size].reshape(shape).astype(np.float64)

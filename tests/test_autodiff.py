@@ -127,18 +127,6 @@ def test_mean_rows_hand_computed():
     assert np.array_equal(out.data, [[3.0, 5.0]])
 
 
-def test_backward_sum_gives_ones():
-    x = Tensor(np.random.default_rng(1).normal(size=(3, 4)), requires_grad=True)
-    backward(ad.sum_all(x))
-    assert np.array_equal(x.grad, np.ones((3, 4)))
-
-
-def test_backward_elementwise_square():
-    x = Tensor([[1.0, 2.0]], requires_grad=True)
-    backward(ad.sum_all(ad.mul(x, x)))
-    assert np.allclose(x.grad, [[2.0, 4.0]])
-
-
 def test_backward_requires_scalar_loss():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
@@ -158,7 +146,9 @@ def test_seeded_backward_equals_the_scalar_backward_of_sum_root_times_seed():
         return [x.grad, w.grad]
 
     seeded = grads(lambda root: backward(root, seed))
-    summed = grads(lambda root: backward(ad.sum_all(ad.mul(root, Tensor(seed)))))
+    # sum(root * seed) as a linear of the flattened root against the flattened seed
+    summed = grads(lambda root: backward(product(ad.reshape(root, (1, -1)),
+                                                 Tensor(seed.reshape(-1, 1)))))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seeded, summed))
     # a leaf root takes the seed as its gradient, as a copy
     x.zero_grad()
@@ -176,7 +166,8 @@ def test_seeded_backward_rejects_a_missing_or_misshapen_seed():
         with pytest.raises(ContractError, match="seed of shape"):
             backward(root, bad)
     with pytest.raises(ContractError, match="seed of shape"):
-        backward(ad.sum_all(root), np.ones((1, 2)))  # a scalar root too
+        backward(product(ad.mean_rows(root), Tensor(np.ones((3, 1)))),
+                 np.ones((1, 2)))  # a scalar root too
     assert x.grad is None
 
 
@@ -197,16 +188,15 @@ def test_take_rows_with_a_2d_index_equals_1d_calls_with_gradients():
 
 def test_backward_accumulates_without_reset():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
-    loss = ad.sum_all(x)
-    backward(loss)
-    backward(loss)
+    backward(x, np.ones(x.shape))
+    backward(x, np.ones(x.shape))
     assert np.array_equal(x.grad, [[2.0, 2.0]])
 
 
 def test_backward_shared_subexpression_counted_once_per_use():
     # y = x + x has gradient 2 per element
     x = Tensor([[3.0]], requires_grad=True)
-    backward(ad.sum_all(ad.add(x, x)))
+    backward(ad.add(x, x))
     assert np.array_equal(x.grad, [[2.0]])
 
 
@@ -224,22 +214,22 @@ def test_finite_diff_exact_for_quadratic():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     a = Tensor(rng.normal(size=(3, 3)))
+    w = rng.normal(size=(3, 3))
 
-    def f():
-        return ad.sum_all(ad.mul(product(a, x), x))
+    def f():  # sum(w * (x a x)) is quadratic in x
+        return product(x, product(a, x))
 
-    assert finite_diff_check(f, [x], eps=1e-5) < 1e-8
+    assert finite_diff_check(f, [x], eps=1e-5, weights=w) < 1e-8
 
 
 def test_finite_diff_detects_wrong_backward():
     rng = np.random.default_rng(10)
     a = Tensor(rng.normal(size=(3, 3)))
     b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3)))
+    w = rng.normal(size=(3, 3))
     ad.set_backward_fault(True)
     try:
-        err = finite_diff_check(
-            lambda: ad.sum_all(ad.mul(product(a, b), w)), [b], eps=1e-5)
+        err = finite_diff_check(lambda: product(a, b), [b], eps=1e-5, weights=w)
     finally:
         ad.set_backward_fault(False)
     assert err > 1e-1
@@ -256,10 +246,29 @@ def test_finite_diff_rejects_nondeterministic_f():
         finite_diff_check(f, [Tensor([[1.0]], requires_grad=True)], eps=1e-5)
 
 
+def test_finite_diff_rejects_misshapen_weights_before_perturbing():
+    x = Tensor(np.random.default_rng(11).normal(size=(3, 4)), requires_grad=True)
+    before = x.data.tobytes()
+    seen = []
+
+    def f():
+        seen.append(x.data.tobytes())
+        return ad.gelu(x)
+
+    # (1, 4) would broadcast against the (3, 4) output
+    for bad in (np.ones((4, 3)), np.ones((1, 4)), np.ones((3, 4, 1)), np.ones(12)):
+        with pytest.raises(ContractError, match="seed of shape"):
+            finite_diff_check(f, [x], eps=1e-5, weights=bad)
+    assert x.data.tobytes() == before and set(seen) == {before}
+    with pytest.raises(ContractError, match="needs a seed"):  # a non-scalar f without weights
+        finite_diff_check(f, [x], eps=1e-5)
+    assert x.data.tobytes() == before and set(seen) == {before}
+
+
 def test_finite_diff_eps_contract():
     x = Tensor([[1.0]], requires_grad=True)
     with pytest.raises(ContractError):
-        finite_diff_check(lambda: ad.sum_all(x), [x], eps=0.5)
+        finite_diff_check(lambda: x, [x], eps=0.5)
 
 
 def test_all_primitives_pass_finite_diff():
@@ -368,13 +377,13 @@ def test_backward_keeps_grad_on_leaves_only():
     x = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
     w = Tensor([[0.5], [1.0], [-1.5]], requires_grad=True)
     const = Tensor([[2.0, 2.0, 2.0]])
-    h = ad.mul(x, const)
+    h = ad.add(x, const)
     y = product(h, w)
-    loss = ad.sum_all(ad.mul(y, y))
+    loss = product(y, y)
     grads = backward(loss)
-    # y = 2 x.w = -12, so dloss/dy = 2y = -24
-    assert np.array_equal(x.grad, -24.0 * 2.0 * w.data.T)
-    assert np.array_equal(w.grad, -24.0 * h.data.T)
+    # y = (x + 2).w = -6, so dloss/dy = 2y = -12
+    assert np.array_equal(x.grad, -12.0 * w.data.T)
+    assert np.array_equal(w.grad, -12.0 * h.data.T)
     assert h.grad is None and y.grad is None and loss.grad is None
     assert const.grad is None
     assert set(grads) == {x.node_id, w.node_id}
@@ -389,9 +398,8 @@ def test_backward_on_model_tape_fills_leaves_only():
     blocks.init_transformer_block(store, "b", 8, 2.0, rng)
     x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
     out = blocks.transformer_block(store, "b", x, 4)
-    loss = ad.sum_all(ad.mul(out, out))
-    backward(loss)
-    nodes, stack = {}, [loss]
+    backward(out, np.ones(out.shape))
+    nodes, stack = {}, [out]
     while stack:
         node = stack.pop()
         if node.node_id not in nodes:
@@ -436,20 +444,20 @@ def test_backward_through_a_long_chain():
     y = x
     for _ in range(10_000):
         y = ad.add(y, x)
-    grads = backward(ad.sum_all(y))
+    grads = backward(y, np.ones(y.shape))
     assert np.array_equal(x.grad, [[10_001.0, 10_001.0]])
     assert set(grads) == {x.node_id}
 
 
 def test_backward_leaf_with_consumers_combined_out_of_creation_order():
     x = Tensor([[3.0, -1.0]], requires_grad=True)
-    c = ad.mul(x, Tensor([[5.0, 5.0]]))
-    a = ad.mul(x, x)
-    b = ad.mul(x, Tensor([[-2.0, -2.0]]))
-    # d/dx (b + a + c) = -2 + 2x + 5
-    loss = ad.sum_all(ad.add(ad.add(b, a), c))
-    grads = backward(loss)
-    assert np.array_equal(x.grad, [[9.0, 1.0]])
+    c = product(x, Tensor([[5.0, 0.0], [0.0, 3.0]]))
+    a = ad.add(x, x)
+    b = product(x, Tensor([[-2.0, 0.0], [0.0, -1.0]]))
+    # d/dx sum(b + a + c) = (-2, -1) + 2 + (5, 3)
+    root = ad.add(ad.add(b, a), c)
+    grads = backward(root, np.ones(root.shape))
+    assert np.array_equal(x.grad, [[5.0, 4.0]])
     assert set(grads) == {x.node_id}
 
 
@@ -527,12 +535,12 @@ def test_linear_fault_hook_corrupts_the_weight_gradient():
     x = Tensor(rng.normal(size=(2, 3, 4)))
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
-    mask = Tensor(rng.normal(size=(2, 3, 2)))
-    loss = lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), mask))
-    assert finite_diff_check(loss, [w, b], eps=1e-5) < 1e-8
+    mask = rng.normal(size=(2, 3, 2))
+    out = lambda: ad.linear(x, w, b)
+    assert finite_diff_check(out, [w, b], eps=1e-5, weights=mask) < 1e-8
     ad.set_backward_fault(True)
     try:
-        assert finite_diff_check(loss, [w], eps=1e-5) > 1e-1
+        assert finite_diff_check(out, [w], eps=1e-5, weights=mask) > 1e-1
     finally:
         ad.set_backward_fault(False)
 
@@ -608,7 +616,7 @@ def forward_and_grads(op, arrays, g):
     """op's output and the gradient of sum(output * g) for each input."""
     ins = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*ins)
-    backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    backward(out, g)
     return [out.data] + [t.grad for t in ins]
 
 
@@ -655,9 +663,9 @@ def test_cross_entropy_rows_bit_equals_reference(dtype):
 
 
 def test_primitives_write_into_no_array_they_do_not_own(monkeypatch):
-    """Every primitive_checks entry, with its inputs, each upstream gradient,
-    each output and every array a backward rule keeps made read-only: an
-    in-place write into any of them raises."""
+    """Every primitive_checks entry, with its inputs, its weights, each
+    upstream gradient, each output and every array a backward rule keeps made
+    read-only: an in-place write into any of them raises."""
     from evfusion import gradcheck
 
     def freeze(a):
@@ -682,12 +690,13 @@ def test_primitives_write_into_no_array_they_do_not_own(monkeypatch):
 
     calls = []
 
-    def run_read_only(f, params, eps):
+    def run_read_only(f, params, eps, weights):
         calls.append(len(params))
         for p in params:
             p.zero_grad()
             freeze(p)
-        backward(f())
+        freeze(weights)
+        backward(f(), weights)
         assert all(p.grad is not None and np.all(np.isfinite(p.grad)) for p in params)
         return 0.0
 
@@ -699,14 +708,17 @@ def test_primitives_write_into_no_array_they_do_not_own(monkeypatch):
 
 def test_backward_adds_into_no_shared_gradient():
     # add hands one array to both of its parents; p1 then gets two more
-    # contributions from mul(p1, p1), so the first sum must be a new array
+    # contributions, views from concat_rows(p1, p1), so the first sum must be
+    # a new array
     p1 = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
     p2 = Tensor([[4.0, 5.0, -6.0]], requires_grad=True)
-    square = ad.mul(p1, p1)
+    twice = ad.concat_rows(p1, p1)
     both = ad.add(p1, p2)  # created later, so its gradient reaches p1 first
-    backward(ad.sum_all(ad.add(square, both)))
-    assert np.array_equal(p1.grad, [[3.0, -3.0, 7.0]])  # 2 * p1 + 1
-    assert np.array_equal(p2.grad, [[1.0, 1.0, 1.0]])
+    seed = np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0], [100.0, 200.0, 300.0]])
+    backward(ad.concat_rows(twice, both), seed)
+    assert np.array_equal(p1.grad, [[111.0, 222.0, 333.0]])
+    assert np.array_equal(p2.grad, [[100.0, 200.0, 300.0]])
+    assert np.array_equal(seed[2], [100.0, 200.0, 300.0])
 
 
 def test_batched_row_ops_equal_per_matrix_calls_with_gradients():

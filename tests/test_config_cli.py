@@ -409,8 +409,14 @@ def counting_store():
     (lambda doc: doc.update(n_values="6"), "JSON integers"),
     (lambda doc: doc["params"]["a.w"].update(shape=[1.0, 4]), "JSON integers"),
     (lambda doc: doc["params"]["a.w"].update(shape="14"), "JSON integers"),
+    # the parameters' ranges must tile the values
+    (lambda doc: doc["params"]["b.w"].update(offset=0), "'a.w' starts at value 0, not 2"),
+    (lambda doc: doc["params"]["b.w"].update(offset=3), "'b.w' starts at value 3, not 4"),
+    (lambda doc: doc["params"]["b.w"].update(offset=5), "'b.w' starts at value 5, not 4"),
+    (lambda doc: doc["params"]["b.w"].update(offset=-2), "'b.w' starts at value -2, not 0"),
 ], ids=["big-endian", "float32", "no-dtype", "float-offset", "str-offset", "bool-offset",
-        "float-n_values", "str-n_values", "float-shape", "str-shape"])
+        "float-n_values", "str-n_values", "float-shape", "str-shape",
+        "same-offset", "overlap", "past-the-end", "negative-offset"])
 def test_param_store_load_rejects_a_mistyped_sidecar(tmp_path, edit, match):
     path = tmp_path / "m.ckpt"
     counting_store().save(path)
@@ -420,6 +426,31 @@ def test_param_store_load_rejects_a_mistyped_sidecar(tmp_path, edit, match):
     with pytest.raises(ParseError, match=match):
         other.load(path)
     assert not np.any(other["a.w"].data)
+
+
+def test_param_store_load_rejects_values_no_parameter_reads(tmp_path):
+    path = tmp_path / "m.ckpt"
+    counting_store().save(path)
+    path.write_bytes(path.read_bytes() + np.array([9.0], "<f8").tobytes())
+    edit_sidecar(path, lambda doc: doc.update(n_values=7))
+    other = counting_store()
+    other["a.w"].data = np.zeros((1, 4))
+    with pytest.raises(ParseError, match="no parameter reads values 6 to 7, after 'b.w'"):
+        other.load(path)
+    assert not np.any(other["a.w"].data)
+
+
+def test_param_store_load_reads_ranges_laid_out_in_any_order(tmp_path):
+    path = tmp_path / "m.ckpt"
+    counting_store().save(path)
+    path.write_bytes(np.array([4.0, 5.0, 0.0, 1.0, 2.0, 3.0], "<f8").tobytes())  # b.w first
+    edit_sidecar(path, lambda doc: (doc["params"]["a.w"].update(offset=2),
+                                    doc["params"]["b.w"].update(offset=0)))
+    other = counting_store()
+    other["a.w"].data = np.zeros((1, 4))
+    other.load(path)
+    assert other["a.w"].data.tobytes() == np.arange(4.0).reshape(1, 4).tobytes()
+    assert other["b.w"].data.tobytes() == np.array([[4.0, 5.0]]).tobytes()
 
 
 def test_param_store_checks_a_sidecar_model_section_only_when_both_sides_have_one(tmp_path):
@@ -637,6 +668,17 @@ def test_read_sample_rejects_a_bad_manifest(tmp_path, edit, error, match):
         data_files.read_sample(tmp_path)
 
 
+def test_read_sample_rejects_a_binary_header_resolution_the_manifest_does_not_give(tmp_path):
+    samples, _ = desk_samples()
+    data_files.write_sample(samples[0], tmp_path, event_format="binary")
+    path = tmp_path / "events.bin"
+    events.write_events_binary(dataclasses.replace(samples[0].events, resolution=(64, 48)), path)
+    assert events.parse_events_binary(path).resolution == (64, 48)
+    with pytest.raises(ValidationError,
+                       match=r"header resolution \(64, 48\), the manifest says \(16, 16\)"):
+        data_files.read_sample(tmp_path)
+
+
 @pytest.mark.parametrize("content", ["{\"samples\": [", "{\"split\": \"train\"}", "[]"],
                          ids=["truncated", "no-samples", "not-an-object"])
 def test_read_dataset_rejects_a_bad_manifest(tmp_path, content):
@@ -769,6 +811,7 @@ def test_cli_dvs_threshold_past_int64_counts_is_a_numeric_failure(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: DVS threshold 1e-300 gives a per-pixel event count")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # a failed command makes no output directory
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
@@ -777,6 +820,7 @@ def test_cli_eval_missing_checkpoint_is_io_error(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(cli, "make_datasets", lambda cfg: pytest.fail("data synthesised"))
     assert run_cli([command, "--config", str(path)]) == 3
     assert "model.ckpt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # reading the checkpoint path makes no directory
 
 
 def test_cli_synth_data(tmp_path, capsys):
@@ -806,12 +850,15 @@ def test_cli_train_then_eval(tmp_path, capsys):
     assert "top1=" in capsys.readouterr().out
 
 
-def test_cli_grad_check_pass_and_fault(capsys):
+def test_cli_grad_check_pass_and_fault(tmp_path, capsys):
     assert run_cli(["grad-check", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert run_cli(["grad-check", "--seed", "0", "--inject-fault"]) == 1
+    gc = tmp_path / "gc"
+    assert run_cli(["grad-check", "--seed", "0", "--inject-fault", "--out", str(gc)]) == 1
     assert "FAIL" in capsys.readouterr().out
+    report = json.loads((gc / "gradcheck.json").read_text())
+    assert not report["passed"] and {"linear", "linear_3d"} <= set(report["failures"])
 
 
 def test_cli_dump_embeddings(tmp_path):

@@ -80,3 +80,48 @@ def test_private_def_guard_skips_self_references_and_reads_other_modules():
         "c": "from . import a\n\nf = a._by_attribute\n",
     }
     assert unreferenced_private_defs(sources) == ["a._draw"]
+
+
+def engine_only_primitives(sources: dict[str, str]) -> list[str]:
+    """The module-level functions of ``autodiff`` that call ``_make``, its
+    differentiable primitives, which no module of sources (name -> text)
+    other than ``autodiff`` and ``gradcheck`` names: scaffolding for the
+    checks, not part of any model."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    primitives = [
+        node.name for node in trees["autodiff"].body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_make"
+                for n in ast.walk(node))]
+    named = set()
+    for module, tree in trees.items():
+        if module not in ("autodiff", "gradcheck"):
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Name):
+                    named.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    named.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    named.add(n.name)
+    return sorted(set(primitives) - named)
+
+
+def test_every_primitive_is_used_outside_the_engine_and_its_checks():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert engine_only_primitives(sources) == []
+
+
+def test_primitive_guard_reads_calls_of_make_and_names_in_other_modules():
+    sources = {
+        "autodiff": ("def _make(data, parents, rule):\n    return data\n"
+                     "def by_attribute(a):\n    return _make(a, (a,), None)\n"
+                     "def imported(a):\n    return _make(a, (a,), None)\n"
+                     "def checked_only(a):\n    return _make(a, (a,), None)\n"
+                     "def nested(a):\n    def rule(g):\n        return g\n"
+                     "    return _make(a, (a,), rule)\n"
+                     "def helper(a):\n    return checked_only(a)\n"),
+        "gradcheck": "from . import autodiff as ad\n\nf = ad.checked_only\ng = ad.nested\n",
+        "model": ("from . import autodiff as ad\nfrom .autodiff import imported\n\n"
+                  "h = ad.by_attribute\n"),
+    }
+    assert engine_only_primitives(sources) == ["checked_only", "nested"]

@@ -90,7 +90,7 @@ def test_cross_entropy_batch_equals_single_rows_bit_exact():
     batch = Tensor(x, requires_grad=True)
     losses = cross_entropy(batch, labels)
     assert losses.shape == (5, 1)
-    backward(ad.sum_all(losses))
+    backward(losses, np.ones(losses.shape))
     for i, label in enumerate(labels):
         row = Tensor(x[i:i + 1], requires_grad=True)
         loss = cross_entropy(row, label)
@@ -386,7 +386,7 @@ def per_sample_step(model, dataset, idx, cache, state, lr, cfg):
     batch_loss = losses[0]
     for extra in losses[1:]:
         batch_loss = ad.add(batch_loss, extra)
-    backward(ad.mul(batch_loss, Tensor([[1.0 / len(losses)]])))
+    backward(batch_loss, np.array([[1.0 / len(losses)]]))
     adamw_step(model, state, lr, cfg)
     return [float(loss.data[0, 0]) for loss in losses], hits
 
@@ -648,7 +648,7 @@ def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
     ft = model.text_tokens()
     assert len(calls) == 1 and ft.requires_grad and ft._parents
     model.store.zero_grad()
-    backward(ad.sum_all(ad.mul(ft, ft)))
+    backward(ft, 2.0 * ft.data)  # the gradients of sum(ft ** 2)
     assert np.abs(model.store["text.proj.w"].grad).sum() > 0
     before = model.store["text.embed"].data.copy()
     train(data, model, OptimConfig(epochs=1, batch_size=4))
@@ -810,12 +810,12 @@ def test_head_rows_backpropagates_into_each_encoding_bit_exactly():
     for t in (t for block in blocks for t in block):
         t.requires_grad = True
     logits, _ = head_rows(model, blocks, model.text_tokens())
-    backward(ad.sum_all(ad.mul(logits, Tensor(weights))))
+    backward(logits, weights)
     fv_grad, fe_grad = (np.concatenate([block[k].grad for block in blocks]) for k in (0, 1))
     for i, ((fv, fe), w) in enumerate(zip(enc, weights)):
         one = [Tensor(fv, requires_grad=True), Tensor(fe, requires_grad=True)]
         row, _ = model.head(*one, model.text_tokens())
-        backward(ad.sum_all(ad.mul(row, Tensor(w[None]))))
+        backward(row, w[None])
         assert fv_grad[i].tobytes() == one[0].grad.tobytes()
         assert fe_grad[i].tobytes() == one[1].grad.tobytes()
 
