@@ -494,6 +494,13 @@ def backward(root: Tensor, grad: np.ndarray | None = None) -> dict[int, np.ndarr
 # verification
 # ---------------------------------------------------------------------------
 
+def _bumped(a: np.ndarray, c: int, delta: float) -> np.ndarray:
+    """A copy of a with its flat coordinate c moved by delta."""
+    out = a.copy()
+    out.reshape(-1)[c] = a.reshape(-1)[c] + delta
+    return out
+
+
 def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
                       eps: float = 1e-5, rng: np.random.Generator | None = None,
                       max_coords_per_param: int = 8, *,
@@ -506,7 +513,10 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     forms that sum in numpy, the analytic side is the seeded
     backward(f(), weights), so a non-scalar output is checked through a
     weighted sum with no extra tape node. Weights of another shape raise
-    ContractError before any parameter is perturbed.
+    ContractError, and an f() holding a NaN or an infinity raises
+    NumericError naming the first such entry, before any parameter is
+    perturbed. A parameter is perturbed by assigning it a perturbed copy of
+    its value, which it gets back after each coordinate.
 
     Returns the max over sampled coordinates of
     |analytic - numeric| / max(1, |analytic|, |numeric|).
@@ -521,6 +531,9 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     for p in params:
         p.zero_grad()
     root = f()
+    if not np.isfinite(root.data).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(root.data))[0])
+        raise NumericError(f"finite_diff_check: f() is {root.data[at]} at {at}")
     backward(root, weights)
     if value(root) != value(f()):
         raise ContractError("finite_diff_check: f is not deterministic")
@@ -530,18 +543,19 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     for p in params:
         if p.grad is None:
             raise ContractError("finite_diff_check: parameter received no gradient")
-        flat = p.data.reshape(-1)
-        n = flat.size
+        orig = p.data
+        n = orig.size
         coords = (np.arange(n) if n <= max_coords_per_param
                   else rng.choice(n, size=max_coords_per_param, replace=False))
         gflat = p.grad.reshape(-1)
         for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            fp = value(f())
-            flat[c] = orig - eps
-            fm = value(f())
-            flat[c] = orig
+            try:
+                p.data = _bumped(orig, c, eps)
+                fp = value(f())
+                p.data = _bumped(orig, c, -eps)
+                fm = value(f())
+            finally:
+                p.data = orig
             numeric = (fp - fm) / (2.0 * eps)
             analytic = gflat[c]
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))

@@ -190,8 +190,8 @@ class Model:
         on the text config, the template, the labels and the text.* values,
         so they are computed once and served again while all of these are
         unchanged: the key holds their repr and each value's exact dtype,
-        shape and bytes, so a value written in place or cast to another dtype
-        recomputes."""
+        shape and bytes, so a value changed by any means or cast to another
+        dtype recomputes."""
         if not self.cfg.switches.sci:
             return self.store["fusion.free_tokens"]
         params = [t for n, t in self.store.items() if n.startswith("text.")]

@@ -73,7 +73,8 @@ def adamw_step(model: Model, state: TrainState, lr: float,
     """Decoupled-weight-decay update of every trainable parameter. Changing
     nothing, the first one in store order without a gradient of its shape
     raises ContractError, and with a non-finite one NumericError. The
-    moments in state are updated in place; each parameter gets a new array."""
+    moments in state are updated in place; each parameter's new value is
+    installed through ParamStore.set."""
     params = model.store.trainable_items()
     for name, p in params:
         if p.grad is None or p.grad.shape != p.data.shape:
@@ -105,7 +106,7 @@ def adamw_step(model: Model, state: TrainState, lr: float,
         update /= den
         new = p.data - update
         new -= np.multiply(lr * cfg.weight_decay, p.data, out=update)
-        p.data = new
+        model.store.set(name, new)
 
 
 def cosine_lr(step: int, total_steps: int, cfg: OptimConfig) -> float:
@@ -124,8 +125,8 @@ class EncodingMemo:
     Maps (encoder key, sample key) to the sample's (fv, fe) rows of
     Model.encode_sample. Both keys are content digests: the encoder key
     covers both encoder configs and the dtype and value of every rgb.* and
-    event.* parameter, so a parameter written in place misses instead of
-    serving a stale entry; the sample key covers the frames, timestamps,
+    event.* parameter, so a changed parameter misses instead of serving a
+    stale entry; the sample key covers the frames, timestamps,
     events and resolution. Training steps and classification both read the
     parameters cast to TRAIN_DTYPE, so they share one entry per sample.
     """

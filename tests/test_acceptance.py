@@ -5,7 +5,11 @@ PASSED/FAILED line is the authoritative per-criterion verdict)."""
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -207,34 +211,46 @@ def _zero_events(samples):
             for s in samples]
 
 
-@pytest.mark.slow
-def test_generalization_with_events_over_5_seeds():
-    chance = 0.25
-    full_hits = zero_hits = total = 0
-    per_seed = []
-    for seed in range(5):
+def _generalization_run(seed, zero_events):
+    """(epochs trained, eval top-1) of the motion-only model at seed, or of
+    its event-zeroed control. A worker process runs it, so it turns
+    RuntimeWarnings into errors itself, as Tier-1 does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         cfg = _motion_only_config(seed)
         train_set, eval_set = make_datasets(cfg)
-
+        if zero_events:
+            # class-constant inputs: extra epochs cannot alter eval accuracy,
+            # so the control trains on a shorter budget
+            cfg.optim.epochs = 60
+            train_set, eval_set = _zero_events(train_set), _zero_events(eval_set)
         model = Model(cfg.model_config(), seed=seed)
-        train(train_set, model, cfg.optim, cfg.switches)
-        full_acc = evaluate(eval_set, model, cfg.switches)["top1"]
+        log = train(train_set, model, cfg.optim, cfg.switches)
+        return len(log), evaluate(eval_set, model, cfg.switches)["top1"]
 
-        zero_cfg = _motion_only_config(seed)
-        # class-constant inputs: extra epochs cannot alter eval accuracy,
-        # so the control trains on a shorter budget
-        zero_cfg.optim.epochs = 60
-        zero_model = Model(zero_cfg.model_config(), seed=seed)
-        train(_zero_events(train_set), zero_model, zero_cfg.optim,
-              zero_cfg.switches)
-        zero_acc = evaluate(_zero_events(eval_set), zero_model,
-                            zero_cfg.switches)["top1"]
 
-        n = len(eval_set)
-        full_hits += round(full_acc * n)
-        zero_hits += round(zero_acc * n)
-        total += n
-        per_seed.append((full_acc, zero_acc))
+@pytest.mark.slow
+def test_generalization_with_events_over_5_seeds(monkeypatch):
+    chance = 0.25
+    seeds = range(5)
+    # The ten trainings are independent: they run in up to two spawned
+    # workers with one BLAS thread each, the five full models first. The
+    # bits do not depend on the BLAS thread count.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=context) as pool:
+        runs = {(zero, seed): pool.submit(_generalization_run, seed, zero)
+                for zero in (False, True) for seed in seeds}
+        results = {key: run.result() for key, run in runs.items()}
+    cfg = _motion_only_config(0)
+    n = cfg.data.eval_samples_per_class * len(cfg.data.classes)
+    full_hits = sum(round(results[False, seed][1] * n) for seed in seeds)
+    zero_hits = sum(round(results[True, seed][1] * n) for seed in seeds)
+    total = n * len(seeds)
+    per_seed = [(results[False, seed][1], results[True, seed][1]) for seed in seeds]
+    report("seed  epochs  top-1   control epochs  control top-1\n" + "\n".join(
+        f"{seed:>4}  {results[False, seed][0]:>6}  {results[False, seed][1]:.4f}  "
+        f"{results[True, seed][0]:>14}  {results[True, seed][1]:.4f}" for seed in seeds))
 
     full_pooled = full_hits / total
     zero_pooled = zero_hits / total

@@ -246,6 +246,23 @@ def test_finite_diff_rejects_nondeterministic_f():
         finite_diff_check(f, [Tensor([[1.0]], requires_grad=True)], eps=1e-5)
 
 
+def test_finite_diff_names_a_non_finite_output_before_comparing_calls():
+    x = Tensor(np.array([[np.nan, 1.0]]), requires_grad=True)
+    with pytest.raises(NumericError, match=r"^finite_diff_check: f\(\) is nan at \(0, 0\)$"):
+        finite_diff_check(lambda: ad.gelu(x), [x], weights=np.ones((1, 2)))
+    assert x.grad is None  # raised before the backward
+
+
+def test_finite_diff_perturbs_a_read_only_parameter_by_assignment():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x.data.flags.writeable = False
+    value, before = x.data, x.data.tobytes()
+    assert finite_diff_check(lambda: ad.gelu(x), [x], eps=1e-5,
+                             weights=rng.normal(size=(3, 4))) < 1e-6
+    assert x.data is value and value.tobytes() == before
+
+
 def test_finite_diff_rejects_misshapen_weights_before_perturbing():
     x = Tensor(np.random.default_rng(11).normal(size=(3, 4)), requires_grad=True)
     before = x.data.tobytes()

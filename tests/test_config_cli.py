@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import os
 import re
 import shutil
 
@@ -391,6 +393,10 @@ def edit_sidecar(path, edit):
     sidecar.write_text(json.dumps(doc))
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def counting_store():
     store = ParamStore()
     store.add("a.w", np.arange(4.0).reshape(1, 4))
@@ -445,7 +451,8 @@ def test_param_store_load_reads_ranges_laid_out_in_any_order(tmp_path):
     counting_store().save(path)
     path.write_bytes(np.array([4.0, 5.0, 0.0, 1.0, 2.0, 3.0], "<f8").tobytes())  # b.w first
     edit_sidecar(path, lambda doc: (doc["params"]["a.w"].update(offset=2),
-                                    doc["params"]["b.w"].update(offset=0)))
+                                    doc["params"]["b.w"].update(offset=0),
+                                    doc.update(values_sha256=sha256_of(path))))
     other = counting_store()
     other["a.w"].data = np.zeros((1, 4))
     other.load(path)
@@ -474,6 +481,52 @@ def test_param_store_checks_a_sidecar_model_section_only_when_both_sides_have_on
     counting_store().save(path)  # no section, as older checkpoints: loads under any model
     assert "model" not in json.loads(path.with_suffix(".ckpt.json").read_text())
     counting_store().load(path, model=trained)
+
+
+def test_param_store_save_records_the_values_sha256_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    counting_store().save(path)
+    assert json.loads(path.with_suffix(".ckpt.json").read_text())["values_sha256"] == (
+        sha256_of(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.json"]
+
+
+def test_param_store_load_rejects_values_its_sidecar_does_not_record(tmp_path):
+    path = tmp_path / "m.ckpt"
+    counting_store().save(path)
+    recorded = sha256_of(path)
+    path.write_bytes(np.arange(6.0)[::-1].tobytes())  # as many values, other ones
+    other = counting_store()
+    other["a.w"].data = np.zeros((1, 4))
+    with pytest.raises(ValidationError, match=f"sha256 is {sha256_of(path)}, its sidecar "
+                                              f"records '{recorded}'"):
+        other.load(path)
+    assert not np.any(other["a.w"].data)
+    edit_sidecar(path, lambda doc: doc.pop("values_sha256"))  # an older sidecar
+    other.load(path)
+    assert other["a.w"].data.tobytes() == np.array([[5.0, 4.0, 3.0, 2.0]]).tobytes()
+
+
+def test_param_store_save_that_dies_between_its_two_files_leaves_a_pair_that_fails(
+        tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    counting_store().save(path)
+    newer = counting_store()
+    newer.set("a.w", -newer["a.w"].data)
+    real = os.replace
+
+    def no_sidecar(src, dst):
+        if str(dst).endswith(".json"):
+            raise OSError("no space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", no_sidecar)
+    with pytest.raises(OSError):
+        newer.save(path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.json"]
+    with pytest.raises(ValidationError, match="the two files are not one checkpoint"):
+        counting_store().load(path)
 
 
 def test_cli_eval_of_a_float32_sidecar_is_an_io_error(tmp_path, capsys):
@@ -883,11 +936,18 @@ def test_cli_dump_embeddings(tmp_path):
         assert [float(f) for f in features] == want
 
 
+def with_first_entry(a, value):
+    """A copy of a whose [0, 0] entry is value."""
+    edited = a.copy()
+    edited[0, 0] = value
+    return edited
+
+
 def save_tiny_checkpoint(path, out, name, value):
     """A checkpoint of the tiny model with one entry of name set to value."""
     cfg = load_config(path)
     model = Model(cfg.model_config(), seed=cfg.seed)
-    model.store[name].data[0, 0] = value
+    model.store[name].data = with_first_entry(model.store[name].data, value)
     out.mkdir()
     model.store.save(out / "model.ckpt")
 
@@ -998,6 +1058,29 @@ def test_cli_maps_parse_and_validation_errors_to_io_exit(tmp_path, capsys,
     assert err.splitlines() == ["io error: bad input file"]
 
 
+def test_cli_eval_of_a_mis_paired_checkpoint_is_an_io_error(tmp_path, monkeypatch, capsys):
+    # the values of a ca-off model beside the sidecar of a ca-on one of the same layout
+    configs = {}
+    for name, switches in (("off", {"ca": False}), ("on", {})):
+        (tmp_path / name).mkdir()
+        configs[name] = write_tiny(tmp_path / name, out_dir=str(tmp_path / name / "run"),
+                                   switches=switches)
+        assert run_cli(["train", "--config", str(configs[name]), "--epochs", "1"]) == 0
+    ckpt = tmp_path / "on" / "run" / "model.ckpt"
+    recorded = json.loads(ckpt.with_suffix(".ckpt.json").read_text())["values_sha256"]
+    values = (tmp_path / "off" / "run" / "model.ckpt").read_bytes()
+    assert values != ckpt.read_bytes()
+    ckpt.write_bytes(values)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "make_datasets", lambda *a, **k: pytest.fail("data synthesised"))
+    assert run_cli(["eval", "--config", str(configs["on"])]) == 3
+    assert capsys.readouterr().err == (
+        f"io error: checkpoint {ckpt}: the values file's sha256 is "
+        f"{hashlib.sha256(values).hexdigest()}, its sidecar records '{recorded}': "
+        "the two files are not one checkpoint\n")
+    assert not (tmp_path / "on" / "run" / "eval_metrics.json").exists()
+
+
 def test_cli_eval_wrong_shape_checkpoint_is_io_error(tmp_path, capsys):
     wide = load_config(write_tiny(tmp_path, fusion={"dim": 16, "heads": 2, "mlp_ratio": 4.0}))
     ckpt = tmp_path / "wide.ckpt"
@@ -1097,7 +1180,8 @@ def test_cli_eval_of_a_nan_checkpoint_is_a_numeric_failure(tmp_path, capsys):
     path = write_tiny(tmp_path, out_dir=str(out))
     cfg = load_config(path)
     model = Model(cfg.model_config(), seed=cfg.seed)
-    model.store["fusion.clf.w"].data[0, 0] = np.nan
+    w = model.store["fusion.clf.w"]
+    w.data = with_first_entry(w.data, np.nan)
     out.mkdir()
     model.store.save(out / "model.ckpt")
     assert run_cli(["eval", "--config", str(path)]) == 4
@@ -1113,7 +1197,8 @@ def test_cli_train_with_a_nan_weight_stops_at_step_0(tmp_path, monkeypatch, caps
     class NanModel(Model):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.store["fusion.clf.w"].data[0, 0] = np.nan
+            w = self.store["fusion.clf.w"]
+            w.data = with_first_entry(w.data, np.nan)
 
     monkeypatch.setattr(cli, "Model", NanModel)
     assert run_cli(["train", "--config", str(path)]) == 4

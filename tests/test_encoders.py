@@ -64,8 +64,8 @@ def test_patchify_full_scale_shape():
 def test_patchify_zero_image_zero_weights_gives_embeddings_only():
     cfg = EncoderConfig(image_size=16, patch_size=8, dim=8, heads=2, depth=0)
     store = make_encoder(cfg)
-    store["enc.patch.w"].data[:] = 0.0
-    store["enc.patch.b"].data[:] = 0.0
+    store["enc.patch.w"].data = np.zeros_like(store["enc.patch.w"].data)
+    store["enc.patch.b"].data = np.zeros_like(store["enc.patch.b"].data)
     seq = patchify_embed(np.zeros((16, 16, 3)), cfg, store, "enc")
     expected = np.vstack([store["enc.cls"].data, np.zeros((4, 8))]) + store["enc.pos"].data
     assert np.array_equal(seq.data, expected)

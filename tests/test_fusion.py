@@ -120,8 +120,8 @@ def test_cross_attention_one_row_per_class():
 
 def test_classify_zero_weights_gives_bias():
     cfg, store = make_fusion()
-    store["fusion.clf.w"].data[:] = 0.0
-    store["fusion.clf.b"].data[:] = np.arange(4.0)
+    store["fusion.clf.w"].data = np.zeros_like(store["fusion.clf.w"].data)
+    store["fusion.clf.b"].data = np.arange(4.0).reshape(1, 4)
     rng = np.random.default_rng(6)
     logits, pooled = classify(rand_seq(rng, 5), rand_seq(rng, 4),
                               rand_seq(rng, 4), store, "fusion", cfg)

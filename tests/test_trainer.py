@@ -4,10 +4,13 @@ import json
 import math
 import re
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfusion import autodiff as ad
 from evfusion import config, fusion, trainer
@@ -16,6 +19,7 @@ from evfusion.encoders import EncoderConfig
 from evfusion.errors import ContractError, DimensionError, NumericError
 from evfusion.events import MotionClass, SynthSpec, synth_dataset
 from evfusion.fusion import FusionConfig, Model, ModelConfig
+from evfusion.params import ParamStore
 from evfusion.text import PromptTemplate, TextConfig
 from evfusion.trainer import (EncodingMemo, OptimConfig, TrainState, adamw_step,
                               cosine_lr, cross_entropy, encode_blocks, evaluate, head_rows,
@@ -134,7 +138,7 @@ def test_adamw_first_step_moves_by_lr_sign():
     # bias-corrected first step: m_hat/(sqrt(v_hat)+eps) ~ sign(g)
     model = tiny_model()
     name, p = next(iter(model.store.trainable_items()))
-    p.data[:] = 1.0
+    p.data = np.ones_like(p.data)
     model.store.zero_grad()
     for pname, pt in model.store.trainable_items():
         pt.grad = np.full_like(pt.data, 0.5 if pname == name else 1e-12)
@@ -147,7 +151,7 @@ def test_adamw_weight_decay_decoupled():
     # zero gradient: pure decay scales the parameter by (1 - lr*wd)
     model = tiny_model()
     _, p = next(iter(model.store.trainable_items()))
-    p.data[:] = 2.0
+    p.data = np.full_like(p.data, 2.0)
     for _, pt in model.store.trainable_items():
         pt.grad = np.zeros_like(pt.data)
     cfg = OptimConfig(base_lr=0.1, weight_decay=0.5)
@@ -261,8 +265,8 @@ def test_cosine_lr_contracts():
 def test_evaluate_topk_basics_and_tie_breaking():
     # a zero classifier weight makes every sample's logits equal the bias
     model = tiny_model(labels=[f"shape moving {d}" for d in "abcdefg"])
-    model.store["fusion.clf.w"].data[:] = 0.0
-    model.store["fusion.clf.b"].data[:] = [3.0, 1.0, 2.0, 0.0, 3.0, -1.0, -2.0]
+    model.store["fusion.clf.w"].data = np.zeros_like(model.store["fusion.clf.w"].data)
+    model.store["fusion.clf.b"].data = np.array([[3.0, 1.0, 2.0, 0.0, 3.0, -1.0, -2.0]])
     sample = tiny_dataset(samples_per_class=1)[0]
     labels = [0, 4, 2, 6]
     data = [dataclasses.replace(sample, label=lb, sample_id=f"s{lb}") for lb in labels]
@@ -518,11 +522,14 @@ def test_evaluate_with_a_memo_matches_evaluate_without_one():
     assert len(memo) == len(data)
 
 
-def test_memo_misses_after_an_in_place_parameter_edit(monkeypatch):
+def test_memo_misses_after_an_assigned_parameter_edit(monkeypatch):
     data = tiny_dataset(samples_per_class=1)
     model, memo = tiny_model(seed=2), EncodingMemo()
     first = evaluate(data, model, memo=memo)
-    model.store["rgb.patch.w"].data *= 3.0  # in place: same array object
+    w = model.store["rgb.patch.w"]
+    with pytest.raises(ValueError, match="read-only"):
+        w.data *= 3.0  # the installed value cannot be written in place
+    w.data = w.data * 3.0
     calls = count_encodes(monkeypatch)
     second = evaluate(data, model, memo=memo)
     assert len(calls) == len(data)
@@ -608,17 +615,20 @@ def test_no_grad_evaluate_encodes_the_labels_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_text_tokens_recomputed_after_an_in_place_text_edit(monkeypatch):
+def test_text_tokens_recomputed_after_an_assigned_text_edit(monkeypatch):
     data = tiny_dataset(samples_per_class=1)
     model = tiny_model(seed=3)
     first = evaluate(data, model)
     calls = count_label_encodes(monkeypatch)
-    model.store["text.proj.w"].data *= 3.0  # in place: same array object
+    w = model.store["text.proj.w"]
+    with pytest.raises(ValueError, match="read-only"):
+        w.data *= 3.0  # the installed value cannot be written in place
+    w.data = w.data * 3.0
     second = evaluate(data, model)
     assert len(calls) == 1
     assert second["per_sample"] != first["per_sample"]
     fresh = tiny_model(seed=3)
-    fresh.store["text.proj.w"].data *= 3.0
+    fresh.store.set("text.proj.w", fresh.store["text.proj.w"].data * 3.0)
     assert second == evaluate(data, fresh)
 
 
@@ -658,13 +668,21 @@ def test_training_records_the_text_branch_after_a_no_grad_evaluate(monkeypatch):
 
 # -- non-finite loss or gradient ---------------------------------------------------
 
+def with_entry(a, index, value):
+    """A copy of a whose entry at index is value."""
+    edited = a.copy()
+    edited[index] = value
+    return edited
+
+
 def param_bytes(model):
     return {n: t.data.tobytes() for n, t in model.store.items()}
 
 
 def test_train_stops_on_a_non_finite_loss_before_any_update():
     model = tiny_model(seed=2)
-    model.store["fusion.clf.w"].data[0, 0] = np.nan
+    w = model.store["fusion.clf.w"]
+    w.data = with_entry(w.data, (0, 0), np.nan)
     before = param_bytes(model)
     with pytest.raises(NumericError, match=r"^epoch 0, step 0: non-finite loss nan$"):
         train(tiny_dataset(), model, OptimConfig(epochs=2, batch_size=4))
@@ -1054,15 +1072,119 @@ def test_param_store_cast_restores_the_float64_values_when_the_block_raises():
 
 def test_param_store_cast_of_a_finite_value_beyond_its_range_names_the_parameter():
     model = tiny_model()
+    model.store.set("fusion.clf.w", with_entry(model.store["fusion.clf.w"].data, (1, 2), -1e39))
     w = model.store["fusion.clf.w"].data
-    w[1, 2] = -1e39
     before = {n: t.data for n, t in model.store.items()}
     with pytest.raises(NumericError, match=r"^fusion\.clf\.w: a finite value overflows float32$"):
         with model.store.cast(np.float32):
             pytest.fail("the block ran")
     assert all(t.data is before[n] for n, t in model.store.items())
     # NaN and inf overflow nothing: they are cast as they are, for the checks downstream
-    w[1, 2], w[1, 3] = np.inf, np.nan
+    model.store.set("fusion.clf.w", with_entry(with_entry(w, (1, 2), np.inf), (1, 3), np.nan))
     with model.store.cast(np.float32):
         cast = model.store["fusion.clf.w"].data
         assert cast.dtype == np.float32 and np.isposinf(cast[1, 2]) and np.isnan(cast[1, 3])
+
+
+def test_param_store_cast_reuses_the_copy_of_an_installed_value():
+    store = tiny_model().store
+    with store.cast(np.float32):
+        first = {n: t.data for n, t in store.items()}
+    with store.cast(np.float32):
+        assert all(t.data is first[n] for n, t in store.items())
+        with pytest.raises(ValueError, match="read-only"):
+            store["fusion.clf.w"].data[0, 0] = 1.0
+    w, b = store["fusion.clf.w"], store["fusion.clf.b"]
+    store.set("fusion.clf.w", w.data * 2.0)  # the setter drops the kept copy
+    b.data = b.data * 2.0  # an assigned value is cast on every call
+    casts = []
+    for _ in range(2):
+        with store.cast(np.float32):
+            casts.append((w.data, b.data))
+    (w1, b1), (w2, b2) = casts
+    assert w1 is w2 and w1 is not first["fusion.clf.w"]
+    assert w1.tobytes() == (first["fusion.clf.w"] * np.float32(2.0)).tobytes()
+    assert b1 is not b2 and b1.tobytes() == b2.tobytes() == (
+        first["fusion.clf.b"] * np.float32(2.0)).tobytes()
+
+
+def test_param_store_set_installs_a_read_only_copy_of_the_same_shape():
+    store = tiny_model().store
+    value = np.ones_like(store["fusion.clf.b"].data)
+    store.set("fusion.clf.b", value)
+    installed = store["fusion.clf.b"].data
+    assert installed is not value and np.array_equal(installed, value)
+    value[0, 0] = 5.0  # the caller's array stays its own
+    assert installed[0, 0] == 1.0 and not installed.flags.writeable
+    with pytest.raises(ContractError, match=r"fusion\.clf\.b: a value of shape \(2, 4\)"):
+        store.set("fusion.clf.b", np.ones((2, 4)))
+
+
+_NAMES, _SHAPES = ["a.w", "a.b", "b.w"], [(3, 4), (1, 4), (2, 2)]
+
+
+def _fresh_store(values):
+    store = ParamStore()
+    for name, value in zip(_NAMES, values):
+        store.add(name, value)
+    return store
+
+
+_ENTRY = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-40, 1e39, -1e39]))
+_OPS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(range(3)), _ENTRY),
+    st.tuples(st.just("assign"), st.sampled_from(range(3)), _ENTRY),
+    st.tuples(st.just("load"), st.just(0), _ENTRY),
+    st.tuples(st.just("adamw"), st.just(0), st.floats(-1.0, 1.0)),
+    st.tuples(st.just("cast"), st.just(0), st.just(0.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_OPS, max_size=12))
+def test_param_store_casts_equal_a_fresh_astype_whatever_wrote_the_values(tmp_path_factory,
+                                                                          ops):
+    rng = np.random.default_rng(0)
+    store = _fresh_store([rng.normal(size=s) for s in _SHAPES])
+    installed = set(_NAMES)  # the names whose value the store installed
+    ckpt = tmp_path_factory.mktemp("cast") / "m.ckpt"
+    state, optim = TrainState(), OptimConfig(weight_decay=0.1)
+    for op, i, x in ops:
+        value = rng.normal(size=_SHAPES[i])
+        value.reshape(-1)[0] = x
+        if op == "set":
+            store.set(_NAMES[i], value)
+            installed.add(_NAMES[i])
+        elif op == "assign":
+            store[_NAMES[i]].data = value
+            installed.discard(_NAMES[i])
+        elif op == "load":
+            _fresh_store([np.full(s, x) for s in _SHAPES]).save(ckpt)
+            store.load(ckpt)
+            installed = set(_NAMES)
+        elif op == "adamw":
+            for t in store.tensors():
+                t.grad = np.full_like(t.data, x)
+            adamw_step(types.SimpleNamespace(store=store), state, 1e-3, optim)
+            installed = set(_NAMES)
+        else:
+            values = {n: t.data for n, t in store.items()}
+            with np.errstate(over="ignore"):
+                want = {n: v.astype(np.float32) for n, v in values.items()}
+            overflows = [n for n in _NAMES
+                         if np.isinf(want[n]).any() and np.isfinite(values[n]).all()]
+            try:
+                with store.cast(np.float32):
+                    assert not overflows
+                    for n, t in store.items():
+                        assert t.data.dtype == np.float32
+                        assert t.data.tobytes() == want[n].tobytes(), n
+                        if n in installed:
+                            with pytest.raises(ValueError, match="read-only"):
+                                t.data[0, 0] = 0.0  # the kept copy
+            except NumericError as exc:
+                assert str(exc) == f"{overflows[0]}: a finite value overflows float32"
+            assert all(t.data is values[n] for n, t in store.items())
+        for n in installed:
+            with pytest.raises(ValueError, match="read-only"):
+                store[n].data[0, 0] = 0.0
