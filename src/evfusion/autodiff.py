@@ -29,13 +29,14 @@ attention scales ``q`` by ``1/sqrt(w)`` before ``q k^T`` and applies that
 scale to dQ and dK, and its backward takes rowsum(dP∘P) as the equal
 rowsum(G∘O) of the upstream gradient and the output. A BLAS product gives each
 matrix of a stack the same result whatever the stack's length, so a batch
-still equals its per-matrix calls bit for bit. These columns are allocated
-per call; one cached across calls would have to be read-only.
+still equals its per-matrix calls bit for bit. These columns are cached
+across calls, one read-only array per length, dtype and value.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
 import itertools
 import math
@@ -126,11 +127,21 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data)
+    """The output node of a primitive. data is already the float32 or
+    float64 ndarray of at least two axes that Tensor() would keep, so the
+    node is filled in directly, without Tensor()'s conversion."""
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.node_id = next(_node_ids)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
@@ -143,7 +154,7 @@ def _check_2d(op: str, *tensors: Tensor) -> None:
     batch axis as rows."""
     for t in tensors:
         if t.data.ndim != 2:
-            raise DimensionError(f"{op}: takes 2-D tensors, got shape {t.shape}")
+            raise DimensionError(f"{op}: takes 2-D tensors, got shape {t.data.shape}")
 
 
 def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -157,22 +168,28 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True).reshape(shape)
 
 
+@functools.lru_cache(maxsize=256)
 def _col(n: int, dtype, value: float = 1.0) -> np.ndarray:
-    """An (n, 1) column of value: a @ _col(n, dtype) sums a's rows and
-    _col(m, dtype).T @ a its columns, as one BLAS product each."""
-    return np.full((n, 1), value, dtype=dtype)
+    """A read-only (n, 1) column of value, made once per (n, dtype, value):
+    a @ _col(n, dtype) sums a's rows and _col(m, dtype).T @ a its columns,
+    as one BLAS product each."""
+    col = np.full((n, 1), value, dtype=dtype)
+    col.flags.writeable = False
+    return col
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may broadcast over a's leading axes and rows, so a
     (1, n) row or a (T, n) table adds to every (T, n) matrix of a."""
-    if (b.data.ndim > a.data.ndim or b.shape[-1] != a.shape[-1]
-            or any(m not in (1, n) for m, n in zip(b.shape[::-1], a.shape[::-1]))):
-        raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if b_shape != a_shape and (
+            len(b_shape) > len(a_shape) or b_shape[-1] != a_shape[-1]
+            or any(m not in (1, n) for m, n in zip(b_shape[::-1], a_shape[::-1]))):
+        raise DimensionError(f"add: incompatible shapes {a_shape} and {b_shape}")
     data = a.data + b.data
 
     def backward(g):
-        return g, _sum_to(g, b.shape)
+        return g, _sum_to(g, b_shape)
 
     return _make(data, (a, b), backward)
 
@@ -180,9 +197,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one tape node: x is (..., d_in), w (d_in, d_out) and b
     (1, d_out); the leading axes of x are batch axes."""
-    if w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (1, w.shape[1]):
+    x_shape, w_shape = x.data.shape, w.data.shape
+    if len(w_shape) != 2 or x_shape[-1] != w_shape[0] or b.data.shape != (1, w_shape[1]):
         raise DimensionError(
-            f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not fit")
+            f"linear: x {x_shape}, w {w_shape} and b {b.data.shape} do not fit")
     data = x.data @ w.data
     data += b.data
 
@@ -191,7 +209,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gx = g @ w.data.T if x.requires_grad else None
         gw = None
         if w.requires_grad:
-            gw = x.data.reshape(-1, x.shape[-1]).T @ g2
+            gw = x.data.reshape(-1, x_shape[-1]).T @ g2
             if _INJECT_BACKWARD_FAULT:
                 gw *= 1.5
         return gx, gw, _col(g2.shape[0], g2.dtype).T @ g2
@@ -239,7 +257,7 @@ def cross_entropy_rows(a: Tensor, labels: np.ndarray) -> Tensor:
     (rows, 1) column: m + log(sum(exp(a - m))) - a[i, labels[i]]. The
     backward is g * softmax(a) less g at the labels."""
     _check_2d("cross_entropy_rows", a)
-    rows = np.arange(a.shape[0])
+    rows = np.arange(a.data.shape[0])
     m = a.data.max(axis=1, keepdims=True)
     soft = a.data - m
     np.exp(soft, out=soft)
@@ -259,7 +277,7 @@ def cross_entropy_rows(a: Tensor, labels: np.ndarray) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row (the last axis) to zero mean / unit variance, then
     gain*x + bias; leading axes are batch axes."""
-    n = x.shape[-1]
+    n = x.data.shape[-1]
     if gain.data.size != n or bias.data.size != n:
         raise DimensionError(
             f"layer_norm: gain/bias width must be {n}, got {gain.data.size}/{bias.data.size}")
@@ -285,7 +303,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         ones = _col(g.size // n, g.dtype).T
         dgain = ones @ np.multiply(g, xhat, out=tmp).reshape(-1, n)
         dbias = ones @ g.reshape(-1, n)
-        return gy, dgain.reshape(gain.shape), dbias.reshape(bias.shape)
+        return gy, dgain.reshape(gain.data.shape), dbias.reshape(bias.data.shape)
 
     return _make(data, (x, gain, bias), backward)
 
@@ -293,24 +311,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def concat_rows(*parts: Tensor) -> Tensor:
     """Join along the row axis (-2). Leading axes broadcast, so a (1, n) row
     can head every matrix of an (F, P, n) batch."""
-    width = parts[0].shape[-1]
-    for p in parts:
-        if p.shape[-1] != width:
+    shapes = [p.data.shape for p in parts]
+    width, lead = shapes[0][-1], shapes[0][:-2]
+    for shape in shapes:
+        if shape[-1] != width:
             raise DimensionError(
-                f"concat_rows: widths differ: {p.shape[-1]} vs {width}")
-    try:
-        lead = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
-    except ValueError as exc:
-        raise DimensionError(
-            f"concat_rows: leading axes do not broadcast: {[p.shape for p in parts]}") from exc
-    data = np.concatenate([p.data if p.shape[:-2] == lead
-                           else np.broadcast_to(p.data, lead + p.shape[-2:])
-                           for p in parts], axis=-2)
-    offsets = np.cumsum([0] + [p.shape[-2] for p in parts])
+                f"concat_rows: widths differ: {shape[-1]} vs {width}")
+    arrays = [p.data for p in parts]
+    if any(shape[:-2] != lead for shape in shapes):
+        try:
+            lead = np.broadcast_shapes(*(shape[:-2] for shape in shapes))
+        except ValueError as exc:
+            raise DimensionError(
+                f"concat_rows: leading axes do not broadcast: {shapes}") from exc
+        arrays = [a if a.shape[:-2] == lead else np.broadcast_to(a, lead + a.shape[-2:])
+                  for a in arrays]
+    data = np.concatenate(arrays, axis=-2)
+    offsets = [0, *itertools.accumulate(shape[-2] for shape in shapes)]
 
     def backward(g):
-        return tuple(_sum_to(g[..., offsets[i]:offsets[i + 1], :], p.shape)
-                     for i, p in enumerate(parts))
+        return tuple(_sum_to(g[..., offsets[i]:offsets[i + 1], :], shape)
+                     for i, shape in enumerate(shapes))
 
     return _make(data, parts, backward)
 
@@ -323,15 +344,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise DimensionError(f"reshape: {shape} has fewer than two axes")
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a.data.shape),)
 
     return _make(data, (a,), backward)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows [start, stop) of every matrix: (..., m, n) -> (..., stop - start, n)."""
-    if not (0 <= start < stop <= a.shape[-2]):
-        raise ContractError(f"slice_rows: bad range [{start}:{stop}) for {a.shape}")
+    if not (0 <= start < stop <= a.data.shape[-2]):
+        raise ContractError(f"slice_rows: bad range [{start}:{stop}) for {a.data.shape}")
     data = a.data[..., start:stop, :].copy()
 
     def backward(g):
@@ -344,7 +365,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over the row axis of every matrix; (..., m, n) -> (..., 1, n)."""
-    m = a.shape[-2]
+    m = a.data.shape[-2]
     data = a.data.mean(axis=-2, keepdims=True)
 
     def backward(g):
@@ -361,9 +382,9 @@ def take_rows(table: Tensor, indices) -> Tensor:
     (G, k, n) batch. The backward scatter-adds."""
     _check_2d("take_rows", table)
     idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ContractError(
-            f"take_rows: index out of range for table with {table.shape[0]} rows")
+            f"take_rows: index out of range for table with {table.data.shape[0]} rows")
     data = table.data[idx].copy()
 
     def backward(g):
@@ -385,12 +406,13 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
     attention_weights(), each head's row-stochastic weights are appended to
     its list, batch-major.
     """
-    (tk, dv), d, lead = v.shape[-2:], q.shape[-1], v.shape[:-2]
-    q_lead = q.shape[:-2]
-    if (k.shape != lead + (tk, d) or lead[len(lead) - len(q_lead):] != q_lead
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    (tk, dv), d, lead = v_shape[-2:], q_shape[-1], v_shape[:-2]
+    q_lead = q_shape[:-2]
+    if (k_shape != lead + (tk, d) or lead[len(lead) - len(q_lead):] != q_lead
             or heads < 1 or d % heads or dv % heads):
         raise DimensionError(
-            f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not fit {heads} heads")
+            f"attention: q {q_shape}, k {k_shape}, v {v_shape} do not fit {heads} heads")
 
     def split(x):  # (..., T, heads * w) -> (..., heads, T, w), a view
         return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-3, -2)
@@ -404,14 +426,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # the logits of c q k^T, turned into softmax weights in place
     p = split(q.data * c) @ kh.swapaxes(-1, -2)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NumericError("attention: non-finite logits")
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p @ _col(tk, p.dtype)
     if _ATTENTION_WEIGHTS is not None:
         _ATTENTION_WEIGHTS.extend(Tensor(w) for w in p.reshape(-1, *p.shape[-2:]))
-    out = into(lead + (q.shape[-2], dv), p, vh)
+    out = into(lead + (q_shape[-2], dv), p, vh)
 
     def backward(g):
         # ds = p * (dp - rowsum(dp * p)), built in place in dp = g v^T; the
@@ -420,11 +442,11 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Ten
         ds = gh @ vh.swapaxes(-1, -2)
         ds -= split(g * out) @ _col(dv // heads, g.dtype)
         ds *= p
-        dq = into(lead + q.shape[-2:], ds, kh)
+        dq = into(lead + q_shape[-2:], ds, kh)
         dq *= c
-        dk = into(k.shape, ds.swapaxes(-1, -2), qh)
+        dk = into(k_shape, ds.swapaxes(-1, -2), qh)
         dk *= c
-        return _sum_to(dq, q.shape), dk, into(v.shape, p.swapaxes(-1, -2), gh)
+        return _sum_to(dq, q_shape), dk, into(v_shape, p.swapaxes(-1, -2), gh)
 
     return _make(out, (q, k, v), backward)
 

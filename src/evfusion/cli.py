@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from .errors import ConfigError, NumericError, ParseError, ValidationError
 from .events import Sample
 from .fusion import AblationSwitches, Model
 from .gradcheck import run_gradcheck
+from .params import _write_replacing
 from .trainer import EncodingMemo, classify_rows, evaluate, train
 
 EXIT_OK = 0
@@ -87,8 +89,14 @@ def _model_section(cfg: RunConfig) -> dict:
                               "event_encoder", "text", "fusion", "shallow_encoder_depth")}
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace path's content with text as a whole: it goes to a temporary
+    file beside path first, so a failed write leaves the old file as it was."""
+    _write_replacing(_create(path), text.encode())
+
+
 def _write_json(path: Path, obj) -> None:
-    _create(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _split_samples(cfg: RunConfig, split: str) -> list[Sample]:
@@ -132,9 +140,8 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     out = Path(cfg.out_dir)
     model, log, metrics = _train_and_eval(cfg, make_datasets(cfg), EncodingMemo())
-    with _create(out / "metrics.jsonl").open("w") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _write_text(out / "metrics.jsonl",
+                "".join(json.dumps(record, sort_keys=True) + "\n" for record in log))
     model.store.save(_create(_checkpoint_path(args, cfg)), model=_model_section(cfg))
     _write_json(out / "config.json", config_to_dict(cfg))
     _write_json(out / "final_metrics.json",
@@ -261,11 +268,12 @@ def cmd_dump_embeddings(args) -> int:
     if not np.all(np.isfinite(pooled)):
         raise NumericError("dump-embeddings: non-finite pooled features")
     path = Path(cfg.out_dir) / f"embeddings_{args.split}.csv"
-    with _create(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "label"] + [f"f{i}" for i in range(cfg.fusion.dim)])
-        for sample, row in zip(dataset, pooled.tolist()):
-            writer.writerow([sample.sample_id, sample.label] + row)
+    rows = io.StringIO(newline="")
+    writer = csv.writer(rows)
+    writer.writerow(["sample_id", "label"] + [f"f{i}" for i in range(cfg.fusion.dim)])
+    for sample, row in zip(dataset, pooled.tolist()):
+        writer.writerow([sample.sample_id, sample.label] + row)
+    _write_text(path, rows.getvalue())
     print(f"wrote {len(dataset)} rows to {path}")
     return EXIT_OK
 

@@ -161,6 +161,7 @@ class Model:
                                ("fusion.sa_ve.", sw.sa), ("fusion.ca_", sw.ca)):
             if not trains:
                 self.store.freeze(prefix)
+        self._text_names = [n for n in self.store.names() if n.startswith("text.")]
         self._text_memo: tuple[tuple, np.ndarray] | None = None
 
     # -- forward stages --------------------------------------------------
@@ -189,16 +190,19 @@ class Model:
         branch is built on the tape. Otherwise the (L, d) tokens depend only
         on the text config, the template, the labels and the text.* values,
         so they are computed once and served again while all of these are
-        unchanged: the key holds their repr and each value's exact dtype,
-        shape and bytes, so a value changed by any means or cast to another
-        dtype recomputes."""
+        unchanged: the key holds their repr and the store's values_key of the
+        text.* parameters, which changes with any new value and any cast to
+        another dtype. A value assigned to ``.data`` has no such key; while
+        one is held, the key holds each value's dtype, shape and bytes."""
         if not self.cfg.switches.sci:
             return self.store["fusion.free_tokens"]
-        params = [t for n, t in self.store.items() if n.startswith("text.")]
+        params = [self.store[n] for n in self._text_names]
         if ad.grad_enabled() and any(t.requires_grad for t in params):
             return self._encode_labels()
-        key = (repr((self.cfg.text, self.cfg.template, self.cfg.labels)),
-               [(t.data.dtype.str, t.data.shape, t.data.tobytes()) for t in params])
+        values = self.store.values_key(self._text_names)
+        if values is None:
+            values = [(t.data.dtype.str, t.data.shape, t.data.tobytes()) for t in params]
+        key = (repr((self.cfg.text, self.cfg.template, self.cfg.labels)), values)
         if self._text_memo is None or self._text_memo[0] != key:
             self._text_memo = (key, self._encode_labels().data)
         return Tensor(self._text_memo[1])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import weakref
@@ -32,9 +33,10 @@ from .errors import ContractError, NumericError, ParseError, ValidationError
 
 def digest(arrays: Iterable[np.ndarray], *context) -> bytes:
     """sha256 over the repr of context and each array's dtype, shape and
-    bytes: the content key of parameter values and samples. On a 2.0 GHz
-    Xeon with SHA extensions, sha256 hashes the 1.7 MB of desk-config
-    encoder parameters in 1.6 ms (sha1 1.7 ms, blake2b 3.9 ms, md5 3.7 ms)."""
+    bytes: the content key of samples, and of encoder parameter values when
+    ParamStore.values_key has no key for them. On a 2.0 GHz Xeon with SHA
+    extensions, sha256 hashes the 1.7 MB of desk-config encoder parameters
+    in 1.6 ms (sha1 1.7 ms, blake2b 3.9 ms, md5 3.7 ms)."""
     h = hashlib.sha256(repr(context).encode())
     for a in arrays:
         h.update(f"{a.dtype.str}{a.shape}".encode())
@@ -75,6 +77,10 @@ def _write_replacing(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+# One serial number per read-only array a store hands out, in every store.
+_serials = itertools.count()
+
+
 class ParamStore:
     """Ordered name -> Tensor map; a parameter is frozen when its tensor
     does not require a gradient.
@@ -83,26 +89,34 @@ class ParamStore:
     install fresh read-only float64 arrays, so a write into a value in
     place (``t.data[...] = x``, ``t.data *= 3``) raises numpy's ValueError.
     A value changes through set, or by assigning a new array to the
-    tensor's ``.data``."""
+    tensor's ``.data``. Each installed value and each kept cast copy of it
+    gets a serial number, so while parameters hold such arrays their
+    serials say that their values are unchanged (values_key)."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        # name -> weak reference to the value the store installed
-        self._installed: dict[str, weakref.ref] = {}
-        # name -> read-only copy of that value in the dtype of the last cast
-        self._kept: dict[str, np.ndarray] = {}
+        # name -> (weak reference to the value the store installed, its serial)
+        self._installed: dict[str, tuple[weakref.ref, int]] = {}
+        # name -> (read-only copy of that value in the dtype of the last
+        # cast, its serial)
+        self._kept: dict[str, tuple[np.ndarray, int]] = {}
+        # (dtype, values_key of every parameter, the kept copies) of the last
+        # cast whose copies all came from _kept; an install drops it
+        self._last_cast: tuple[np.dtype, tuple, list[np.ndarray]] | None = None
 
     def _install(self, name: str, t: Tensor, value) -> None:
         t.data = _read_only(value)
-        self._installed[name] = weakref.ref(t.data)
+        self._installed[name] = (weakref.ref(t.data), next(_serials))
         self._kept.pop(name, None)
+        self._last_cast = None
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         t = Tensor(_read_only(data), requires_grad=True)  # a 1-D value becomes one row
         self._params[name] = t
-        self._installed[name] = weakref.ref(t.data)
+        self._installed[name] = (weakref.ref(t.data), next(_serials))
+        self._last_cast = None
         return t
 
     def set(self, name: str, value: np.ndarray) -> None:
@@ -142,16 +156,37 @@ class ParamStore:
         for t in self._params.values():
             t.zero_grad()
 
+    def values_key(self, names: Iterable[str]) -> tuple[int, ...] | None:
+        """A key of the named parameters' values that holds none of them: the
+        serials of the arrays they hold, while each holds the value the store
+        installed or the kept cast copy of it. Such arrays are read-only, so
+        the key stays equal while the values are unchanged and differs once
+        any of them is given a new array, by set, load or a cast to another
+        dtype. None when one holds an array assigned to ``.data``, whose
+        bytes may change in place under the same identity."""
+        params, installed, kept = self._params, self._installed, self._kept
+        key = []
+        for name in names:
+            data = params[name].data
+            ref, serial = installed[name]
+            if data is not ref():
+                copy = kept.get(name)
+                if copy is None or data is not copy[0]:
+                    return None
+                serial = copy[1]
+            key.append(serial)
+        return tuple(key)
+
     def _cast_value(self, name: str, data: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """data in dtype. While data is the value the store installed, its
         read-only dtype copy is made once and served again; any other value
         is cast afresh."""
         if data.dtype == dtype:
             return data
-        installed = self._installed[name]() is data
+        installed = self._installed[name][0]() is data
         kept = self._kept.get(name)
-        if installed and kept is not None and kept.dtype == dtype:
-            return kept
+        if installed and kept is not None and kept[0].dtype == dtype:
+            return kept[0]
         self._kept.pop(name, None)  # a refresh that fails leaves no entry
         try:
             copy = data.astype(dtype)
@@ -159,8 +194,25 @@ class ParamStore:
             raise NumericError(f"{name}: a finite value overflows {dtype}") from exc
         if installed:
             copy.flags.writeable = False
-            self._kept[name] = copy
+            self._kept[name] = (copy, next(_serials))
         return copy
+
+    def _copies(self, dtype: np.dtype, masters: list[np.ndarray]) -> list[np.ndarray]:
+        """Every value in dtype, in store order. While values_key of every
+        parameter equals that of the last cast to dtype, the same list of
+        kept copies is served again without a look at each value."""
+        key = self.values_key(self._params)
+        if key is not None and self._last_cast is not None and self._last_cast[:2] == (dtype, key):
+            return self._last_cast[2]
+        self._last_cast = None
+        with np.errstate(over="raise"):
+            copies = [self._cast_value(name, data, dtype)
+                      for name, data in zip(self._params, masters)]
+        kept = self._kept
+        if key is not None and all(name in kept and kept[name][0] is copy
+                                   for name, copy in zip(self._params, copies)):
+            self._last_cast = (dtype, key, copies)
+        return copies
 
     @contextlib.contextmanager
     def cast(self, dtype):
@@ -172,17 +224,18 @@ class ParamStore:
 
         The copy of a value the store installed is read-only and reused by
         every later cast while the parameter still holds that value; set and
-        load drop it. A value assigned to ``.data`` directly is copied on
+        load drop it. While no value has changed since the last cast, that
+        cast's whole list of copies is reused after one identity pass
+        (values_key). A value assigned to ``.data`` directly is copied on
         every cast."""
-        masters = [(t, t.data) for t in self._params.values()]
-        dtype = np.dtype(dtype)
+        tensors = list(self._params.values())
+        masters = [t.data for t in tensors]
         try:
-            with np.errstate(over="raise"):
-                for name, (t, data) in zip(self._params, masters):
-                    t.data = self._cast_value(name, data, dtype)
+            for t, copy in zip(tensors, self._copies(np.dtype(dtype), masters)):
+                t.data = copy
             yield
         finally:
-            for t, data in masters:
+            for t, data in zip(tensors, masters):
                 t.data = data
 
     # -- checkpointing --------------------------------------------------

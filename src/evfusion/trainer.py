@@ -129,10 +129,16 @@ class EncodingMemo:
     stale entry; the sample key covers the frames, timestamps,
     events and resolution. Training steps and classification both read the
     parameters cast to TRAIN_DTYPE, so they share one entry per sample.
+    The encoder key is computed once per set of arrays the store installed
+    (ParamStore.values_key) and on every call while an encoder parameter
+    holds an array assigned to ``.data``.
     """
 
     def __init__(self):
         self._entries: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
+        # (values_key of the encoder parameters, the encoder configs) and
+        # the encoder key they were given
+        self._encoder_key: tuple[tuple, bytes] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -144,10 +150,17 @@ class EncodingMemo:
         not yet memoised under the model's encoders, HEAD_BATCH to a
         Model.encode_sample call; None when an encoder trains, since its
         outputs would change every step."""
-        params = [t for n, t in model.store.items() if n.startswith(("rgb.", "event."))]
-        if any(t.requires_grad for t in params):
+        names = [n for n in model.store.names() if n.startswith(("rgb.", "event."))]
+        if any(model.store[n].requires_grad for n in names):
             return None
-        encoder_key = digest((t.data for t in params), model.cfg.rgb, model.cfg.event)
+        values = model.store.values_key(names)
+        held = (values, model.cfg.rgb, model.cfg.event)
+        if values is not None and self._encoder_key is not None and self._encoder_key[0] == held:
+            encoder_key = self._encoder_key[1]
+        else:
+            encoder_key = digest((model.store[n].data for n in names),
+                                 model.cfg.rgb, model.cfg.event)
+            self._encoder_key = (held, encoder_key) if values is not None else None
         keys = []
         for s in dataset:
             ev = s.events

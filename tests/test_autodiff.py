@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import math
 
 import numpy as np
@@ -903,3 +905,54 @@ def test_layer_norm_and_linear_match_numpy_reductions(dtype, tol, lead):
                  textbook_layer_norm(*f64(x, gain, bias, g)), tol)
     assert_close(forward_and_grads(ad.linear, [x, w, b], g5),
                  textbook_linear(*f64(x, w, b, g5)), tol)
+
+
+# -- the node every primitive makes ------------------------------------------------
+# Each call takes a maker t(*shape) of input tensors; concat_rows runs once with
+# equal leading axes and once with a row broadcast over them.
+
+PRIMITIVE_CALLS = {
+    "add": lambda t: ad.add(t(2, 3, 4), t(1, 4)),
+    "linear": lambda t: ad.linear(t(2, 3, 4), t(4, 5), t(1, 5)),
+    "gelu": lambda t: ad.gelu(t(3, 4)),
+    "cross_entropy_rows": lambda t: ad.cross_entropy_rows(t(3, 4), np.array([0, 3, 1])),
+    "layer_norm": lambda t: ad.layer_norm(t(2, 3, 4), t(1, 4), t(1, 4)),
+    "concat_rows": lambda t: ad.concat_rows(t(2, 1, 4), t(2, 3, 4)),
+    "concat_rows-broadcast": lambda t: ad.concat_rows(t(1, 4), t(2, 3, 4)),
+    "reshape": lambda t: ad.reshape(t(2, 3, 4), (6, 4)),
+    "slice_rows": lambda t: ad.slice_rows(t(2, 3, 4), 1, 3),
+    "mean_rows": lambda t: ad.mean_rows(t(2, 3, 4)),
+    "take_rows": lambda t: ad.take_rows(t(5, 4), [[0, 4], [2, 2]]),
+    "scaled_dot_attention": lambda t: ad.scaled_dot_attention(t(3, 4), t(2, 5, 4), t(2, 5, 4),
+                                                              heads=2),
+}
+
+
+def test_primitive_calls_cover_every_primitive():
+    made = {name for name, f in vars(ad).items()
+            if inspect.isfunction(f) and not name.startswith("_")
+            and "_make(" in inspect.getsource(f)}
+    assert made == {name.split("-")[0] for name in PRIMITIVE_CALLS}
+
+
+@pytest.mark.parametrize("tape", [True, False], ids=["tape", "no_grad"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CALLS))
+def test_every_primitive_makes_a_node_of_its_input_dtype_in_creation_order(name, dtype, tape):
+    rng = np.random.default_rng(0)
+    created = []  # every tensor, in the order it was made
+
+    def t(*shape):
+        created.append(Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True))
+        return created[-1]
+
+    with contextlib.nullcontext() if tape else ad.no_grad():
+        for _ in range(2):
+            out = PRIMITIVE_CALLS[name](t)
+            created.append(out)
+            assert type(out.data) is np.ndarray and out.data.ndim >= 2
+            assert out.data.dtype == dtype and out.grad is None
+            assert out.requires_grad is tape
+            assert (out._parents != (), out._backward is not None) == (tape, tape)
+    ids = [x.node_id for x in created]
+    assert all(a < b for a, b in zip(ids, ids[1:])), ids

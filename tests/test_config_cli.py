@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -934,6 +935,34 @@ def test_cli_dump_embeddings(tmp_path):
         sample_id, label, *features = row.split(",")
         assert (sample_id, int(label)) == (sample.sample_id, sample.label)
         assert [float(f) for f in features] == want
+
+
+@pytest.mark.parametrize("command,name", [
+    ("train", "metrics.jsonl"), ("train", "config.json"), ("train", "final_metrics.json"),
+    ("eval", "eval_metrics.json"), ("eval", "top5_scores.json"),
+    ("dump-embeddings", "embeddings_train.csv"),
+])
+def test_cli_output_write_that_fails_partway_leaves_the_previous_file(
+        tmp_path, monkeypatch, capsys, command, name):
+    out = tmp_path / "run"
+    path = write_tiny(tmp_path, out_dir=str(out))
+    if command != "train":
+        assert run_cli(["train", "--config", str(path)]) == 0
+    out.mkdir(exist_ok=True)
+    (out / name).write_bytes(b"previous\n")
+    real = Path.write_bytes
+
+    def partway(self, data):  # the write of name stops halfway with a full disk
+        if self.name.startswith(f".{name}."):
+            real(self, data[:len(data) // 2])
+            raise OSError("no space left on device")
+        return real(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", partway)
+    assert run_cli([command, "--config", str(path)]) == 3
+    assert capsys.readouterr().err == "io error: no space left on device\n"
+    assert (out / name).read_bytes() == b"previous\n"
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def with_first_entry(a, value):

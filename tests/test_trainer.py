@@ -4,7 +4,6 @@ import json
 import math
 import re
 import tracemalloc
-import types
 import weakref
 
 import numpy as np
@@ -592,6 +591,60 @@ def test_evaluate_without_a_memo_computes_no_key(monkeypatch):
     evaluate(tiny_dataset(samples_per_class=1), tiny_model())
 
 
+def count_recomputes(monkeypatch, model) -> dict[str, list]:
+    """Record the calls of the three consumers of unchanged values: the
+    cast's per-value step, the text branch's forward and the digest of the
+    encoder parameters."""
+    calls = {"cast": [], "text": count_label_encodes(monkeypatch), "digest": []}
+    real_cast, real_digest = ParamStore._cast_value, trainer.digest
+
+    def cast_value(self, name, data, dtype):
+        calls["cast"].append(name)
+        return real_cast(self, name, data, dtype)
+
+    def digest(arrays, *context):
+        if context == (model.cfg.rgb, model.cfg.event):
+            calls["digest"].append(context)
+        return real_digest(arrays, *context)
+
+    monkeypatch.setattr(ParamStore, "_cast_value", cast_value)
+    monkeypatch.setattr(trainer, "digest", digest)
+    return calls
+
+
+def test_a_repeated_evaluate_of_unchanged_values_recomputes_nothing(monkeypatch):
+    data = tiny_dataset(samples_per_class=1)[:1]
+    model, memo = tiny_model(seed=3), EncodingMemo()
+    want = evaluate(data, model, memo=memo)
+    calls = count_recomputes(monkeypatch, model)
+    assert evaluate(data, model, memo=memo) == want
+    assert evaluate(data, model) == want
+    assert calls == {"cast": [], "text": [], "digest": []}
+    n = len(model.store.names())
+    # a value set anew, though equal, is recomputed once by the consumers that read it
+    for name, recomputes in (("rgb.patch.b", (n, 0, 1)), ("text.proj.b", (n, 1, 0)),
+                             ("fusion.clf.b", (n, 0, 0))):
+        model.store.set(name, model.store[name].data)
+        for _ in range(2):
+            assert evaluate(data, model, memo=memo) == want
+        assert tuple(map(len, calls.values())) == recomputes, name
+        for c in calls.values():
+            c.clear()
+
+
+def test_no_cache_keeps_a_replaced_value_alive():
+    data = tiny_dataset(samples_per_class=1)[:1]
+    model, memo = tiny_model(seed=3), EncodingMemo()
+    for _ in range(2):  # the second call reuses every cached result
+        evaluate(data, model, memo=memo)
+    w = model.store["rgb.patch.w"]
+    with model.store.cast(trainer.TRAIN_DTYPE):
+        refs = [weakref.ref(w.data)]
+    refs.append(weakref.ref(w.data))
+    model.store.set("rgb.patch.w", w.data)
+    assert [r() for r in refs] == [None, None]
+
+
 # -- class text tokens -----------------------------------------------------------
 
 def count_label_encodes(monkeypatch) -> list:
@@ -1120,20 +1173,23 @@ def test_param_store_set_installs_a_read_only_copy_of_the_same_shape():
         store.set("fusion.clf.b", np.ones((2, 4)))
 
 
-_NAMES, _SHAPES = ["a.w", "a.b", "b.w"], [(3, 4), (1, 4), (2, 2)]
+# one parameter read by each consumer of unchanged values: the encoders
+# (the memo), the text branch (the text tokens) and the fusion head
+_NAMES = ["rgb.patch.b", "text.proj.b", "fusion.clf.b"]
 
 
-def _fresh_store(values):
+def _save_store(values: dict, path) -> None:
     store = ParamStore()
-    for name, value in zip(_NAMES, values):
+    for name, value in values.items():
         store.add(name, value)
-    return store
+    store.save(path)
 
 
 _ENTRY = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-40, 1e39, -1e39]))
 _OPS = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(range(3)), _ENTRY),
     st.tuples(st.just("assign"), st.sampled_from(range(3)), _ENTRY),
+    st.tuples(st.just("edit"), st.sampled_from(range(3)), _ENTRY),
     st.tuples(st.just("load"), st.just(0), _ENTRY),
     st.tuples(st.just("adamw"), st.just(0), st.floats(-1.0, 1.0)),
     st.tuples(st.just("cast"), st.just(0), st.just(0.0)),
@@ -1145,12 +1201,18 @@ _OPS = st.one_of(
 def test_param_store_casts_equal_a_fresh_astype_whatever_wrote_the_values(tmp_path_factory,
                                                                           ops):
     rng = np.random.default_rng(0)
-    store = _fresh_store([rng.normal(size=s) for s in _SHAPES])
+    model, memo, data = tiny_model(), EncodingMemo(), tiny_dataset(samples_per_class=1)[:1]
+    store = model.store
+    start = {n: t.data for n, t in store.items()}
+    encoders = [n for n in store.names() if n.startswith(("rgb.", "event."))]
+    encoded = set()  # the float32 encoder values the memo holds entries for
+    encodes, encode_sample = [], model.encode_sample
+    model.encode_sample = lambda samples: encodes.append(len(samples)) or encode_sample(samples)
     installed = set(_NAMES)  # the names whose value the store installed
     ckpt = tmp_path_factory.mktemp("cast") / "m.ckpt"
     state, optim = TrainState(), OptimConfig(weight_decay=0.1)
     for op, i, x in ops:
-        value = rng.normal(size=_SHAPES[i])
+        value = rng.normal(size=start[_NAMES[i]].shape)
         value.reshape(-1)[0] = x
         if op == "set":
             store.set(_NAMES[i], value)
@@ -1158,20 +1220,23 @@ def test_param_store_casts_equal_a_fresh_astype_whatever_wrote_the_values(tmp_pa
         elif op == "assign":
             store[_NAMES[i]].data = value
             installed.discard(_NAMES[i])
+        elif op == "edit":  # an assigned array is edited in place; an installed one cannot be
+            if _NAMES[i] not in installed:
+                store[_NAMES[i]].data.reshape(-1)[0] = x
         elif op == "load":
-            _fresh_store([np.full(s, x) for s in _SHAPES]).save(ckpt)
+            _save_store({**start, **{n: np.full(start[n].shape, x) for n in _NAMES}}, ckpt)
             store.load(ckpt)
             installed = set(_NAMES)
         elif op == "adamw":
             for t in store.tensors():
                 t.grad = np.full_like(t.data, x)
-            adamw_step(types.SimpleNamespace(store=store), state, 1e-3, optim)
-            installed = set(_NAMES)
+            adamw_step(model, state, 1e-3, optim)
+            installed |= {n for n in _NAMES if not store.is_frozen(n)}
         else:
             values = {n: t.data for n, t in store.items()}
             with np.errstate(over="ignore"):
                 want = {n: v.astype(np.float32) for n, v in values.items()}
-            overflows = [n for n in _NAMES
+            overflows = [n for n in store.names()
                          if np.isinf(want[n]).any() and np.isfinite(values[n]).all()]
             try:
                 with store.cast(np.float32):
@@ -1188,3 +1253,18 @@ def test_param_store_casts_equal_a_fresh_astype_whatever_wrote_the_values(tmp_pa
         for n in installed:
             with pytest.raises(ValueError, match="read-only"):
                 store[n].data[0, 0] = 0.0
+        # the served text tokens are those of a fresh forward, in both dtypes, and
+        # the memo encodes exactly when the float32 encoder values are new to it
+        with ad.no_grad():
+            assert model.text_tokens().data.tobytes() == model._encode_labels().data.tobytes()
+            try:
+                with store.cast(np.float32):
+                    tokens = model.text_tokens().data
+                    assert tokens.tobytes() == model._encode_labels().data.tobytes()
+                    values = b"".join(store[n].data.tobytes() for n in encoders)
+                    encodes.clear()
+                    memo.encode(model, data)
+                    assert bool(encodes) == (values not in encoded), op
+                    encoded.add(values)
+            except NumericError as exc:
+                assert str(exc).endswith("a finite value overflows float32")
